@@ -20,6 +20,7 @@
 
 use crate::ilr::FiniteIlrBuffer;
 use crate::trace::{IoCaps, TraceAccum, TraceRecord};
+use std::vec::Drain;
 use tlr_isa::DynInstr;
 
 /// A trace-collection policy.
@@ -62,10 +63,9 @@ impl Heuristic {
 }
 
 /// Expansion in progress: a reused base trace waiting for its
-/// continuation to be collected.
+/// continuation (the collector's `cont`) to be collected.
 struct Expansion {
     base: TraceRecord,
-    cont: TraceAccum,
     /// For `I(n) EXP`: stop after this many continuation instructions.
     /// `None` for ILR EXP (stop at the first non-reusable instruction).
     remaining: Option<u32>,
@@ -91,8 +91,12 @@ pub struct Collector {
     /// Finite ILR buffer (ILR NE / ILR EXP only).
     ilr: Option<FiniteIlrBuffer>,
     expansion: Option<Expansion>,
+    /// Continuation of the expansion in progress; empty when there is
+    /// none. Reused across expansions.
+    cont: TraceAccum,
     stats: CollectStats,
-    /// Scratch for emitted records (returned by value each call).
+    /// Records completed by the current call, drained by the caller;
+    /// the buffer keeps its capacity across calls.
     out: Vec<TraceRecord>,
 }
 
@@ -112,6 +116,7 @@ impl Collector {
             accum: TraceAccum::new(caps),
             ilr,
             expansion: None,
+            cont: TraceAccum::new(caps),
             stats: CollectStats::default(),
             out: Vec::new(),
         }
@@ -124,7 +129,7 @@ impl Collector {
 
     /// Feed one *executed* instruction. Returns the trace records that
     /// became complete as a consequence (0, 1 or 2).
-    pub fn on_executed(&mut self, d: &DynInstr) -> Vec<TraceRecord> {
+    pub fn on_executed(&mut self, d: &DynInstr) -> Drain<'_, TraceRecord> {
         debug_assert!(self.out.is_empty());
         match self.heuristic {
             Heuristic::IlrNe | Heuristic::IlrExp => {
@@ -156,13 +161,13 @@ impl Collector {
                 }
             }
         }
-        std::mem::take(&mut self.out)
+        self.out.drain(..)
     }
 
     /// Notify that the engine reused `hit` at the current fetch point.
     /// Returns completed trace records (closed partial collections and/or
     /// expansion merges).
-    pub fn on_reuse_hit(&mut self, hit: &TraceRecord) -> Vec<TraceRecord> {
+    pub fn on_reuse_hit(&mut self, hit: &TraceRecord) -> Drain<'_, TraceRecord> {
         debug_assert!(self.out.is_empty());
         // The run of executed instructions is interrupted: close the
         // in-progress trace (kept for ILR policies — it is a valid
@@ -170,12 +175,10 @@ impl Collector {
         // store exact-length traces).
         match self.heuristic {
             Heuristic::IlrNe | Heuristic::IlrExp | Heuristic::BasicBlock => self.close_accum(false),
-            Heuristic::FixedExp(_) => {
-                let _ = self.accum.finalize();
-            }
+            Heuristic::FixedExp(_) => self.accum.clear(),
         }
         if !self.heuristic.expands() {
-            return std::mem::take(&mut self.out);
+            return self.out.drain(..);
         }
         // Expansion bookkeeping. A hit while a continuation is being
         // collected finishes that expansion first; a hit immediately
@@ -186,7 +189,7 @@ impl Collector {
                 self.begin_expansion(hit.clone());
             }
             Some(exp) => {
-                if exp.cont.is_empty() {
+                if self.cont.is_empty() {
                     match exp.base.merge(hit, &self.caps) {
                         Some(merged) => {
                             self.stats.expansions += 1;
@@ -205,7 +208,7 @@ impl Collector {
                 }
             }
         }
-        std::mem::take(&mut self.out)
+        self.out.drain(..)
     }
 
     fn begin_expansion(&mut self, base: TraceRecord) {
@@ -213,40 +216,33 @@ impl Collector {
             Heuristic::FixedExp(n) => Some(n),
             _ => None,
         };
-        self.expansion = Some(Expansion {
-            base,
-            cont: TraceAccum::new(self.caps),
-            remaining,
-        });
+        debug_assert!(self.cont.is_empty());
+        self.expansion = Some(Expansion { base, remaining });
     }
 
     fn step_expansion(&mut self, d: &DynInstr, reusable: bool) {
-        let Some(mut exp) = self.expansion.take() else {
+        let Some(exp) = self.expansion.as_mut() else {
             return;
         };
-        // ILR EXP stops at the first non-reusable instruction.
-        if exp.remaining.is_none() && !reusable {
-            self.finish_expansion(exp);
-            return;
-        }
-        if !exp.cont.try_add(d) {
-            // Continuation no longer fits the caps: finish with what we
-            // have.
-            self.finish_expansion(exp);
-            return;
-        }
-        if let Some(rem) = exp.remaining.as_mut() {
+        // ILR EXP stops at the first non-reusable instruction; a
+        // continuation that no longer fits the caps finishes with what
+        // it has; I(n) EXP stops after n instructions.
+        let done = if exp.remaining.is_none() && !reusable || !self.cont.try_add(d) {
+            true
+        } else if let Some(rem) = exp.remaining.as_mut() {
             *rem -= 1;
-            if *rem == 0 {
-                self.finish_expansion(exp);
-                return;
-            }
+            *rem == 0
+        } else {
+            false
+        };
+        if done {
+            let exp = self.expansion.take().expect("checked above");
+            self.finish_expansion(exp);
         }
-        self.expansion = Some(exp);
     }
 
-    fn finish_expansion(&mut self, mut exp: Expansion) {
-        if let Some(cont) = exp.cont.finalize() {
+    fn finish_expansion(&mut self, exp: Expansion) {
+        if let Some(cont) = self.cont.finalize() {
             if let Some(merged) = exp.base.merge(&cont, &self.caps) {
                 self.stats.expansions += 1;
                 self.out.push(merged);
@@ -291,6 +287,14 @@ mod tests {
         }
     }
 
+    fn exec(c: &mut Collector, d: &DynInstr) -> Vec<TraceRecord> {
+        c.on_executed(d).collect()
+    }
+
+    fn reuse(c: &mut Collector, t: &TraceRecord) -> Vec<TraceRecord> {
+        c.on_reuse_hit(t).collect()
+    }
+
     fn big_ilr() -> FiniteIlrBuffer {
         FiniteIlrBuffer::new(SetAssocGeometry {
             sets: 64,
@@ -315,7 +319,7 @@ mod tests {
         let mut c = Collector::new(Heuristic::FixedExp(3), IoCaps::PAPER, None);
         let mut emitted = Vec::new();
         for pc in 0..9u32 {
-            emitted.extend(c.on_executed(&di(pc, &[], &[(R1, pc as u64)])));
+            emitted.extend(exec(&mut c, &di(pc, &[], &[(R1, pc as u64)])));
         }
         assert_eq!(emitted.len(), 3);
         assert!(emitted.iter().all(|t| t.len == 3));
@@ -331,14 +335,14 @@ mod tests {
         let a = di(0, &[(R1, 1)], &[(R2, 2)]);
         let b = di(1, &[(R2, 2)], &[(R1, 3)]);
         // First pass: nothing reusable, nothing collected.
-        assert!(c.on_executed(&a).is_empty());
-        assert!(c.on_executed(&b).is_empty());
+        assert!(exec(&mut c, &a).is_empty());
+        assert!(exec(&mut c, &b).is_empty());
         // Second pass with identical values: both reusable — a trace
         // forms and is closed by the next non-reusable instruction.
-        assert!(c.on_executed(&a).is_empty());
-        assert!(c.on_executed(&b).is_empty());
+        assert!(exec(&mut c, &a).is_empty());
+        assert!(exec(&mut c, &b).is_empty());
         let fresh = di(2, &[(R1, 999)], &[]);
-        let out = c.on_executed(&fresh);
+        let out = exec(&mut c, &fresh);
         assert_eq!(out.len(), 1);
         let t = &out[0];
         assert_eq!(t.start_pc, 0);
@@ -351,8 +355,8 @@ mod tests {
     fn reuse_hit_closes_partial_ilr_trace() {
         let mut c = Collector::new(Heuristic::IlrNe, IoCaps::PAPER, Some(big_ilr()));
         let a = di(0, &[(R1, 1)], &[(R2, 2)]);
-        c.on_executed(&a);
-        c.on_executed(&a); // now reusable → in accum
+        exec(&mut c, &a);
+        exec(&mut c, &a); // now reusable → in accum
         let hit = TraceRecord {
             start_pc: 1,
             next_pc: 5,
@@ -361,7 +365,7 @@ mod tests {
             outs: Box::new([]),
             mix: Default::default(),
         };
-        let out = c.on_reuse_hit(&hit);
+        let out = reuse(&mut c, &hit);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len, 1);
     }
@@ -371,17 +375,15 @@ mod tests {
         let mut c = Collector::new(Heuristic::FixedExp(2), IoCaps::PAPER, None);
         // Prime: collect a first trace of 2.
         let mut recs = Vec::new();
-        recs.extend(c.on_executed(&di(0, &[], &[(R1, 1)])));
-        recs.extend(c.on_executed(&di(1, &[], &[(R2, 2)])));
+        recs.extend(exec(&mut c, &di(0, &[], &[(R1, 1)])));
+        recs.extend(exec(&mut c, &di(1, &[], &[(R2, 2)])));
         assert_eq!(recs.len(), 1);
         let base = recs[0].clone();
         assert_eq!(base.next_pc, 2);
         // The engine reuses it; the next 2 executed instructions extend it.
-        assert!(c.on_reuse_hit(&base).is_empty());
-        assert!(c
-            .on_executed(&di(2, &[], &[(Loc::IntReg(3), 3)]))
-            .is_empty());
-        let out = c.on_executed(&di(3, &[], &[(Loc::IntReg(4), 4)]));
+        assert!(reuse(&mut c, &base).is_empty());
+        assert!(exec(&mut c, &di(2, &[], &[(Loc::IntReg(3), 3)])).is_empty());
+        let out = exec(&mut c, &di(3, &[], &[(Loc::IntReg(4), 4)]));
         // Two records: the 4-long expansion merge and the regular 2-long
         // trace starting at pc 2.
         assert_eq!(out.len(), 2);
@@ -410,8 +412,8 @@ mod tests {
             outs: vec![(R1, 9)].into_boxed_slice(),
             mix: Default::default(),
         };
-        assert!(c.on_reuse_hit(&t1).is_empty());
-        let out = c.on_reuse_hit(&t2);
+        assert!(reuse(&mut c, &t1).is_empty());
+        let out = reuse(&mut c, &t2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len, 7);
         assert_eq!(out[0].start_pc, 0);
@@ -425,7 +427,7 @@ mod tests {
             outs: Box::new([]),
             mix: Default::default(),
         };
-        let out = c.on_reuse_hit(&t3);
+        let out = reuse(&mut c, &t3);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len, 9);
     }
@@ -436,8 +438,8 @@ mod tests {
         // Teach the ILR buffer two instructions.
         let a = di(5, &[(R1, 1)], &[(R2, 2)]);
         let b = di(6, &[(R2, 2)], &[(Loc::IntReg(3), 3)]);
-        c.on_executed(&a);
-        c.on_executed(&b);
+        exec(&mut c, &a);
+        exec(&mut c, &b);
         // Reuse a trace ending right before pc 5.
         let base = TraceRecord {
             start_pc: 0,
@@ -447,12 +449,12 @@ mod tests {
             outs: Box::new([]),
             mix: Default::default(),
         };
-        assert!(c.on_reuse_hit(&base).is_empty());
+        assert!(reuse(&mut c, &base).is_empty());
         // Now a and b execute again (reusable) and then a fresh one ends
         // the continuation.
-        assert!(c.on_executed(&a).is_empty());
-        assert!(c.on_executed(&b).is_empty());
-        let out = c.on_executed(&di(7, &[(R1, 42)], &[]));
+        assert!(exec(&mut c, &a).is_empty());
+        assert!(exec(&mut c, &b).is_empty());
+        let out = exec(&mut c, &di(7, &[(R1, 42)], &[]));
         // Expansion merge (3+2=5) plus the regular collected run [a,b].
         assert_eq!(out.len(), 2);
         assert!(out
@@ -472,8 +474,8 @@ mod tests {
             outs: Box::new([]),
             mix: Default::default(),
         };
-        assert!(c.on_reuse_hit(&t).is_empty());
-        assert!(c.on_reuse_hit(&t).is_empty());
+        assert!(reuse(&mut c, &t).is_empty());
+        assert!(reuse(&mut c, &t).is_empty());
         assert_eq!(c.stats().expansions, 0);
     }
 
@@ -490,8 +492,8 @@ mod tests {
         let mut c = Collector::new(Heuristic::FixedExp(8), caps, None);
         let l1 = di(0, &[(Loc::Mem(10), 1)], &[(R1, 1)]);
         let l2 = di(1, &[(Loc::Mem(11), 2)], &[(R2, 2)]);
-        assert!(c.on_executed(&l1).is_empty());
-        let out = c.on_executed(&l2);
+        assert!(exec(&mut c, &l1).is_empty());
+        let out = exec(&mut c, &l2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len, 1);
         assert_eq!(c.stats().cap_splits, 1);

@@ -10,8 +10,8 @@
 
 use std::hash::{Hash, Hasher};
 
+use tlr_isa::dynrec::MAX_READS;
 use tlr_isa::{ClassMix, DynInstr, Loc};
-use tlr_util::{FxHashMap, FxHashSet};
 
 /// Per-trace input/output capacity limits.
 ///
@@ -154,24 +154,19 @@ impl TraceRecord {
         if self.next_pc != next.start_pc {
             return None;
         }
-        let self_out_locs: FxHashSet<Loc> = self.outs.iter().map(|(l, _)| *l).collect();
-        let self_in_locs: FxHashSet<Loc> = self.ins.iter().map(|(l, _)| *l).collect();
         let mut ins: Vec<(Loc, u64)> = self.ins.to_vec();
-        for (loc, val) in next.ins.iter() {
-            if !self_out_locs.contains(loc) && !self_in_locs.contains(loc) {
-                ins.push((*loc, *val));
+        for &(loc, val) in next.ins.iter() {
+            if !has_loc(&self.outs, loc) && !has_loc(&self.ins, loc) {
+                ins.push((loc, val));
             }
         }
         let mut outs: Vec<(Loc, u64)> = self.outs.to_vec();
-        let mut out_index: FxHashMap<Loc, usize> =
-            outs.iter().enumerate().map(|(i, (l, _))| (*l, i)).collect();
-        for (loc, val) in next.outs.iter() {
-            match out_index.get(loc) {
-                Some(i) => outs[*i].1 = *val,
-                None => {
-                    out_index.insert(*loc, outs.len());
-                    outs.push((*loc, *val));
-                }
+        for &(loc, val) in next.outs.iter() {
+            // Searching from the back: if an imported record lists a
+            // location twice, its last entry takes the later write.
+            match outs.iter().rposition(|(l, _)| *l == loc) {
+                Some(i) => outs[i].1 = val,
+                None => outs.push((loc, val)),
             }
         }
         let record = TraceRecord {
@@ -196,26 +191,32 @@ impl TraceRecord {
     }
 }
 
+/// Whether `set` holds `loc`. Trace I/O sets are bounded by [`IoCaps`]
+/// (8 registers + 4 memory words per side under the paper's limits), so
+/// a linear scan beats hashing.
+#[inline]
+fn has_loc(set: &[(Loc, u64)], loc: Loc) -> bool {
+    set.iter().any(|(l, _)| *l == loc)
+}
+
 /// Incremental trace accumulator.
 ///
 /// Feed executed instructions with [`TraceAccum::try_add`]; it refuses
 /// (without mutating) any instruction that would push the live-in or
 /// live-out sets past the caps, letting the collector finalize the
-/// current trace and start a new one.
+/// current trace and start a new one. Membership tests are linear scans
+/// of the live-in and live-out lists themselves (see [`IoCaps`]).
 #[derive(Debug)]
 pub struct TraceAccum {
     caps: IoCaps,
-    start_pc: Option<u32>,
+    start_pc: u32,
     next_pc: u32,
     len: u32,
     ins: Vec<(Loc, u64)>,
     outs: Vec<(Loc, u64)>,
     mix: ClassMix,
-    in_locs: FxHashSet<Loc>,
-    out_index: FxHashMap<Loc, usize>,
-    reg_ins: usize,
+    /// Memory entries of `ins` / `outs`; the rest are registers.
     mem_ins: usize,
-    reg_outs: usize,
     mem_outs: usize,
 }
 
@@ -224,17 +225,13 @@ impl TraceAccum {
     pub fn new(caps: IoCaps) -> Self {
         Self {
             caps,
-            start_pc: None,
+            start_pc: 0,
             next_pc: 0,
             len: 0,
             ins: Vec::new(),
             outs: Vec::new(),
             mix: ClassMix::EMPTY,
-            in_locs: FxHashSet::default(),
-            out_index: FxHashMap::default(),
-            reg_ins: 0,
             mem_ins: 0,
-            reg_outs: 0,
             mem_outs: 0,
         }
     }
@@ -254,13 +251,17 @@ impl TraceAccum {
     /// caps. Instructions must be fed in execution order; the first one
     /// fixes `start_pc`, the last one fixes `next_pc`.
     pub fn try_add(&mut self, d: &DynInstr) -> bool {
-        // Count the *new* live-ins and live-outs this instruction adds.
-        let mut new_reg_ins = 0usize;
-        let mut new_mem_ins = 0usize;
-        for (loc, _) in d.reads.iter() {
-            // A location is a new live-in if the trace has neither
-            // written it nor already recorded it as live-in.
-            if !self.out_index.contains_key(loc) && !self.in_locs.contains(loc) {
+        // Count the *new* live-ins and live-outs this instruction adds. A
+        // read is a new live-in if the trace has neither written it nor
+        // recorded it as live-in (kept in `fresh` for the commit); a write
+        // is a new live-out unless the trace already wrote it. A location
+        // the instruction names twice counts twice here (conservative);
+        // the commit records it once.
+        let mut fresh = [false; MAX_READS];
+        let (mut new_reg_ins, mut new_mem_ins) = (0, 0);
+        for (i, &(loc, _)) in d.reads.iter().enumerate() {
+            fresh[i] = !has_loc(&self.outs, loc) && !has_loc(&self.ins, loc);
+            if fresh[i] {
                 if loc.is_mem() {
                     new_mem_ins += 1;
                 } else {
@@ -268,10 +269,9 @@ impl TraceAccum {
                 }
             }
         }
-        let mut new_reg_outs = 0usize;
-        let mut new_mem_outs = 0usize;
-        for (loc, _) in d.writes.iter() {
-            if !self.out_index.contains_key(loc) {
+        let (mut new_reg_outs, mut new_mem_outs) = (0, 0);
+        for &(loc, _) in d.writes.iter() {
+            if !has_loc(&self.outs, loc) {
                 if loc.is_mem() {
                     new_mem_outs += 1;
                 } else {
@@ -279,38 +279,31 @@ impl TraceAccum {
                 }
             }
         }
-        if self.reg_ins + new_reg_ins > self.caps.reg_in
+        let reg_ins = self.ins.len() - self.mem_ins;
+        let reg_outs = self.outs.len() - self.mem_outs;
+        if reg_ins + new_reg_ins > self.caps.reg_in
             || self.mem_ins + new_mem_ins > self.caps.mem_in
-            || self.reg_outs + new_reg_outs > self.caps.reg_out
+            || reg_outs + new_reg_outs > self.caps.reg_out
             || self.mem_outs + new_mem_outs > self.caps.mem_out
         {
             return false;
         }
         // Commit.
-        if self.start_pc.is_none() {
-            self.start_pc = Some(d.pc);
+        if self.len == 0 {
+            self.start_pc = d.pc;
         }
-        for (loc, val) in d.reads.iter() {
-            if !self.out_index.contains_key(loc) && self.in_locs.insert(*loc) {
-                self.ins.push((*loc, *val));
-                if loc.is_mem() {
-                    self.mem_ins += 1;
-                } else {
-                    self.reg_ins += 1;
-                }
+        for (i, &(loc, val)) in d.reads.iter().enumerate() {
+            if fresh[i] && !has_loc(&d.reads[..i], loc) {
+                self.ins.push((loc, val));
+                self.mem_ins += usize::from(loc.is_mem());
             }
         }
-        for (loc, val) in d.writes.iter() {
-            match self.out_index.get(loc) {
-                Some(i) => self.outs[*i].1 = *val,
+        for &(loc, val) in d.writes.iter() {
+            match self.outs.iter_mut().find(|(l, _)| *l == loc) {
+                Some(out) => out.1 = val,
                 None => {
-                    self.out_index.insert(*loc, self.outs.len());
-                    self.outs.push((*loc, *val));
-                    if loc.is_mem() {
-                        self.mem_outs += 1;
-                    } else {
-                        self.reg_outs += 1;
-                    }
+                    self.outs.push((loc, val));
+                    self.mem_outs += usize::from(loc.is_mem());
                 }
             }
         }
@@ -321,27 +314,33 @@ impl TraceAccum {
     }
 
     /// Finish the trace, resetting the accumulator. Returns `None` when
-    /// empty.
+    /// empty. The accumulator keeps its buffers' capacity for the next
+    /// trace.
     pub fn finalize(&mut self) -> Option<TraceRecord> {
         if self.len == 0 {
             return None;
         }
         let record = TraceRecord {
-            start_pc: self.start_pc.take().unwrap(),
+            start_pc: self.start_pc,
             next_pc: self.next_pc,
             len: self.len,
-            ins: std::mem::take(&mut self.ins).into_boxed_slice(),
-            outs: std::mem::take(&mut self.outs).into_boxed_slice(),
-            mix: std::mem::take(&mut self.mix),
+            ins: self.ins.as_slice().into(),
+            outs: self.outs.as_slice().into(),
+            mix: self.mix,
         };
-        self.len = 0;
-        self.in_locs.clear();
-        self.out_index.clear();
-        self.reg_ins = 0;
-        self.mem_ins = 0;
-        self.reg_outs = 0;
-        self.mem_outs = 0;
+        self.clear();
         Some(record)
+    }
+
+    /// Drop the accumulated trace without building a record, keeping
+    /// the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.ins.clear();
+        self.outs.clear();
+        self.mix = ClassMix::EMPTY;
+        self.mem_ins = 0;
+        self.mem_outs = 0;
     }
 
     /// Live-in locations accumulated so far (first-read order).

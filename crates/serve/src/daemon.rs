@@ -221,9 +221,10 @@ fn serve_connection(stream: UnixStream, registry: &SnapshotRegistry) {
 }
 
 /// Map one request onto the registry, producing the encoded reply
-/// payload. `Get` answers from the registry's cached serialized image
-/// ([`SnapshotRegistry::get_image`]) — repeated fetches of the same
-/// resident state share one immutable buffer and never re-serialize.
+/// payload. `Get` and `GetShape` answer from the registry's cached
+/// serialized image ([`SnapshotRegistry::get_image`]) — repeated fetches
+/// of the same resident state share one immutable buffer and never
+/// re-serialize.
 fn answer_payload(
     registry: &SnapshotRegistry,
     request: Request,
@@ -233,17 +234,9 @@ fn answer_payload(
             code: ErrorCode::BadRequest,
             message: "Hello is only valid as the first message".into(),
         },
-        Request::Get { fingerprint } => match registry.get_image(fingerprint) {
-            // Zero-copy: the registry's cached image bytes go straight
-            // into the reply frame; only the tag/present prefix is new.
-            Ok(image) => {
-                return Ok(proto::encode_snapshot_reply_image(
-                    fingerprint,
-                    image.as_deref(),
-                ))
-            }
-            Err(e) => error_reply(e),
-        },
+        Request::Get { fingerprint } => {
+            return image_reply(fingerprint, registry.get_image(fingerprint))
+        }
         Request::Publish {
             fingerprint,
             snapshot,
@@ -251,23 +244,11 @@ fn answer_payload(
             Ok(()) => Reply::PublishOk,
             Err(e) => error_reply(e),
         },
+        // Shape resolution installs a resident entry under the client's
+        // fingerprint, so the image cache serves it exactly like a plain
+        // Get, and the request counts one fetch.
         Request::GetShape { fingerprint, shape } => {
-            match registry.get_by_shape(fingerprint, shape) {
-                // Shape resolution installs a resident entry under the
-                // client's fingerprint, so the image cache serves it
-                // zero-copy exactly like a plain Get.
-                Ok(Some(_)) => match registry.get_image(fingerprint) {
-                    Ok(image) => {
-                        return Ok(proto::encode_snapshot_reply_image(
-                            fingerprint,
-                            image.as_deref(),
-                        ))
-                    }
-                    Err(e) => error_reply(e),
-                },
-                Ok(None) => return Ok(proto::encode_snapshot_reply_image(fingerprint, None)),
-                Err(e) => error_reply(e),
-            }
+            return image_reply(fingerprint, registry.get_image_by_shape(fingerprint, shape))
         }
         Request::Stats => Reply::Stats(registry.stats()),
         Request::Refresh => match registry.refresh() {
@@ -281,6 +262,22 @@ fn answer_payload(
         },
     };
     proto::encode_reply(&reply)
+}
+
+/// A `Snapshot` reply carrying `image`. Zero-copy: the registry's cached
+/// image bytes go straight into the reply frame; only the tag/present
+/// prefix is new.
+fn image_reply(
+    fingerprint: u64,
+    image: Result<Option<Arc<[u8]>>, ServeError>,
+) -> Result<Vec<u8>, proto::ProtoError> {
+    match image {
+        Ok(image) => Ok(proto::encode_snapshot_reply_image(
+            fingerprint,
+            image.as_deref(),
+        )),
+        Err(e) => proto::encode_reply(&error_reply(e)),
+    }
 }
 
 fn error_reply(e: ServeError) -> Reply {

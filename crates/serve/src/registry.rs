@@ -329,6 +329,14 @@ impl Shard {
 /// known file changed without re-reading it.
 type FileStamp = (SystemTime, u64);
 
+/// The snapshot file image of `snap`, as served by
+/// [`SnapshotRegistry::get_image`].
+fn serialize_image(fingerprint: u64, snap: &RtmSnapshot) -> Result<Arc<[u8]>, ServeError> {
+    let mut bytes = Vec::with_capacity(64 + snap.len() * 64);
+    write_snapshot(&mut bytes, fingerprint, snap)?;
+    Ok(bytes.into())
+}
+
 /// Stat `path` into a [`FileStamp`]; `None` when the file vanished or
 /// the filesystem reports no mtime (treated as "changed").
 fn file_stamp(path: &Path) -> Option<FileStamp> {
@@ -855,17 +863,46 @@ impl SnapshotRegistry {
     /// at most once per resident state: publish/refresh merges
     /// invalidate it (and bump the entry generation, so an image
     /// serialized outside the lock is never cached over newer state).
-    /// `Ok(None)` mirrors [`get`](SnapshotRegistry::get).
+    /// `Ok(None)` mirrors [`get`](SnapshotRegistry::get), and so does the
+    /// accounting: one call counts one fetch (a hit, a miss or an
+    /// unknown).
     pub fn get_image(&self, fingerprint: u64) -> Result<Option<Arc<[u8]>>, ServeError> {
-        let mut counted = false;
+        self.image(fingerprint, None)
+    }
+
+    /// [`get_by_shape`](SnapshotRegistry::get_by_shape), answered as a
+    /// cached snapshot image like [`get_image`](SnapshotRegistry::get_image).
+    /// One call counts one fetch: the image read after shape resolution
+    /// is not counted again.
+    pub fn get_image_by_shape(
+        &self,
+        fingerprint: u64,
+        shape: u64,
+    ) -> Result<Option<Arc<[u8]>>, ServeError> {
+        match self.get_by_shape(fingerprint, shape)? {
+            Some(snap) => self.image(fingerprint, Some(snap)),
+            None => Ok(None),
+        }
+    }
+
+    /// The image behind [`get_image`](SnapshotRegistry::get_image).
+    /// `resolved` is the state a counted fetch has already returned for
+    /// `fingerprint`; when it is given, nothing is counted again, and
+    /// if the entry was evicted meanwhile its bytes are serialized
+    /// uncached.
+    fn image(
+        &self,
+        fingerprint: u64,
+        mut resolved: Option<Arc<RtmSnapshot>>,
+    ) -> Result<Option<Arc<[u8]>>, ServeError> {
         loop {
             let staged = {
                 let mut shard = self.shard_of(fingerprint).lock().unwrap();
                 match shard.touch(fingerprint) {
                     Some(entry) => {
-                        if !counted {
+                        if resolved.is_none() {
                             entry.stats.hits += 1;
-                            counted = true;
+                            resolved = Some(Arc::clone(&entry.snap));
                         }
                         if let Some(image) = &entry.image {
                             entry.stats.image_hits += 1;
@@ -877,20 +914,23 @@ impl SnapshotRegistry {
                 }
             };
             let Some((snap, generation)) = staged else {
+                if let Some(snap) = &resolved {
+                    // Evicted since the counted fetch: the bytes are
+                    // still the right answer, just not cacheable.
+                    return Ok(Some(serialize_image(fingerprint, snap)?));
+                }
                 // Not resident: run the ordinary load-or-unknown path
                 // (which does its own hit/miss accounting), then retry
                 // the image build against the now-resident entry.
-                if self.get(fingerprint)?.is_none() {
-                    return Ok(None);
+                match self.get(fingerprint)? {
+                    Some(snap) => resolved = Some(snap),
+                    None => return Ok(None),
                 }
-                counted = true;
                 continue;
             };
             // Serialize outside the shard lock — a large snapshot must
             // not stall other fetches on this shard.
-            let mut bytes = Vec::with_capacity(64 + snap.len() * 64);
-            write_snapshot(&mut bytes, fingerprint, &snap)?;
-            let image: Arc<[u8]> = bytes.into();
+            let image = serialize_image(fingerprint, &snap)?;
             let mut shard = self.shard_of(fingerprint).lock().unwrap();
             match shard.entries.get_mut(&fingerprint) {
                 Some(entry) if entry.generation == generation => {

@@ -1,12 +1,14 @@
 //! A fixed-capacity vector stored inline, with no heap allocation.
 //!
 //! `DynInstr` (the per-dynamic-instruction record emitted by the functional
-//! simulator) carries its read set and write set in `InlineVec`s: an
-//! instruction in our Alpha-flavoured ISA reads at most three locations
-//! (two registers plus one memory word for a load, or two registers for a
-//! store's value+base) and writes at most two (a register, or a memory
-//! word). Keeping those sets inline means a 50 M-instruction run performs
-//! zero allocations in the execute/observe loop.
+//! simulator) carries its read set and write set in `InlineVec`s of
+//! `MAX_READS` = 4 and `MAX_WRITES` = 2 locations (`tlr_isa::dynrec`),
+//! with headroom: today a load reads its base register plus one memory
+//! word, a store its value and base registers, and an instruction writes
+//! at most one register or memory word. Keeping those sets inline means
+//! a 50 M-instruction run performs zero allocations in the execute/observe
+//! loop, and dropping a `DynInstr` is free: elements without drop glue
+//! are never visited.
 
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -95,7 +97,14 @@ impl<T, const N: usize> InlineVec<T, N> {
     /// Drop all elements.
     #[inline]
     pub fn clear(&mut self) {
-        while self.pop().is_some() {}
+        let len = self.len();
+        self.len = 0;
+        // SAFETY: elements 0..len were initialized; `len` is reset first,
+        // so they are never read again, even if a destructor panics.
+        unsafe {
+            let live = std::slice::from_raw_parts_mut(self.items.as_mut_ptr() as *mut T, len);
+            std::ptr::drop_in_place(live)
+        }
     }
 
     /// View as a slice.
@@ -126,8 +135,11 @@ impl<T, const N: usize> Default for InlineVec<T, N> {
 }
 
 impl<T, const N: usize> Drop for InlineVec<T, N> {
+    #[inline]
     fn drop(&mut self) {
-        self.clear();
+        if std::mem::needs_drop::<T>() {
+            self.clear();
+        }
     }
 }
 
@@ -246,6 +258,43 @@ mod tests {
             }
             assert_eq!(Rc::strong_count(&marker), 6);
         }
+        assert_eq!(Rc::strong_count(&marker), 1);
+    }
+
+    #[test]
+    fn copy_elements_roundtrip_push_pop_clone_drop() {
+        // `(u32, u64)` has no drop glue, so clear and drop skip the
+        // element walk; behaviour must not change.
+        type Pair = (u32, u64);
+        assert!(!std::mem::needs_drop::<Pair>());
+        let mut v: InlineVec<Pair, 4> = InlineVec::new();
+        for i in 0..4u32 {
+            v.push((i, u64::from(i) * 10));
+        }
+        let w = v.clone();
+        assert_eq!(v.pop(), Some((3, 30)));
+        assert_eq!(v.as_slice(), &[(0, 0), (1, 10), (2, 20)]);
+        assert_eq!(w.as_slice(), &[(0, 0), (1, 10), (2, 20), (3, 30)]);
+        v.clear();
+        assert!(v.is_empty());
+        assert_eq!(v.pop(), None);
+        v.push((7, 70));
+        assert_eq!(v.as_slice(), &[(7, 70)]);
+        drop(v);
+        // The clone is independent of the dropped original.
+        assert_eq!(w.len(), 4);
+        assert_eq!(w[3], (3, 30));
+    }
+
+    #[test]
+    fn clear_runs_destructors() {
+        use std::rc::Rc;
+        let marker = Rc::new(());
+        let mut v: InlineVec<Rc<()>, 4> = InlineVec::new();
+        v.push(Rc::clone(&marker));
+        v.push(Rc::clone(&marker));
+        v.clear();
+        assert!(v.is_empty());
         assert_eq!(Rc::strong_count(&marker), 1);
     }
 

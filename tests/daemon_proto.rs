@@ -1,6 +1,7 @@
 //! Integration tests for the `tlrd` daemon: hostile bytes on the
-//! server read path (malformed / truncated / bit-flipped frames) and
-//! concurrent multi-client serving with consistent registry accounting.
+//! server read path (malformed / truncated / bit-flipped frames),
+//! concurrent multi-client serving with consistent registry accounting,
+//! and exact per-request fetch accounting.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -10,7 +11,9 @@ use trace_reuse::core::{ReuseTraceMemory, RtmConfig, RtmSnapshot, TraceRecord};
 use trace_reuse::isa::Loc;
 use trace_reuse::persist::save_snapshot;
 use trace_reuse::serve::proto::{self, Reply, Request};
-use trace_reuse::serve::{Daemon, DaemonHandle, RegistryConfig, RemoteRegistry, SnapshotRegistry};
+use trace_reuse::serve::{
+    Daemon, DaemonHandle, RegistryConfig, RegistryStats, RemoteRegistry, SnapshotRegistry,
+};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("tlr-daemon-proto").join(name);
@@ -205,6 +208,61 @@ fn concurrent_clients_publish_and_get_with_consistent_stats() {
     assert_eq!(stats.misses, 0);
     assert_eq!(stats.refreshes, CLIENTS * 2);
     assert_eq!(stats.resident, CLIENTS);
+    drop(remote);
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+}
+
+/// The fetch counters one request moved:
+/// `(hits, misses, unknown, image_hits, image_builds)`.
+fn fetch_delta(before: &RegistryStats, after: &RegistryStats) -> (u64, u64, u64, u64, u64) {
+    (
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.unknown - before.unknown,
+        after.image_hits - before.image_hits,
+        after.image_builds - before.image_builds,
+    )
+}
+
+#[test]
+fn every_fetch_request_counts_exactly_one_fetch() {
+    let (sock, handle, server) = start_daemon("fetch-accounting");
+    // Fingerprint 1 is on disk (from `start_daemon`); so is 2, which
+    // only `GetShape` fetches.
+    let dir = sock.parent().unwrap();
+    save_snapshot(&dir.join("p2.tlrsnap"), 2, &snapshot_of(&[6])).unwrap();
+    let remote = RemoteRegistry::connect(&sock).unwrap();
+    remote.refresh().unwrap();
+
+    type Fetch = dyn Fn(&RemoteRegistry) -> Option<Arc<RtmSnapshot>>;
+    let check = |kind: &str, fetch: &Fetch, present: bool, expected| {
+        let before = remote.stats().unwrap();
+        assert_eq!(fetch(&remote).is_some(), present, "{kind}: answer");
+        let after = remote.stats().unwrap();
+        assert_eq!(
+            fetch_delta(&before, &after),
+            expected,
+            "{kind}: (hits, misses, unknown, image_hits, image_builds)"
+        );
+    };
+    // Cold: one disk load (a miss), and the image built for the reply.
+    check("Get cold", &|r| r.get(1).unwrap(), true, (0, 1, 0, 0, 1));
+    // Warm: one resident hit, answered from the cached image.
+    check("Get warm", &|r| r.get(1).unwrap(), true, (1, 0, 0, 1, 0));
+    check(
+        "Get unknown",
+        &|r| r.get(404).unwrap(),
+        false,
+        (0, 0, 1, 0, 0),
+    );
+    let shape = |fp| move |r: &RemoteRegistry| r.get_by_shape(fp, 0).unwrap();
+    check("GetShape cold", &shape(2), true, (0, 1, 0, 0, 1));
+    check("GetShape warm", &shape(2), true, (1, 0, 0, 1, 0));
+    check("GetShape unknown", &shape(405), false, (0, 0, 1, 0, 0));
+    // A shape no program has published resolves nothing: one unknown.
+    let no_donor = |r: &RemoteRegistry| r.get_by_shape(406, 77).unwrap();
+    check("GetShape unknown shape", &no_donor, false, (0, 0, 1, 0, 0));
     drop(remote);
     handle.shutdown();
     server.join().unwrap().unwrap();
