@@ -3,7 +3,7 @@
 //! The fleet and daemon experiments originally modelled "many serving
 //! instances" as a process (or thread) per instance, each paying its own
 //! program load and cold caches. [`BatchRunner`] replaces that shape for
-//! measurement workloads: many [`tlr_core::ThroughputEngine`] instances
+//! measurement workloads: many [`tlr_core::TraceReuseEngine`] instances
 //! live in one process, share one warm snapshot registry, and are driven
 //! to completion by a single scheduler loop — either one instance at a
 //! time ([`Schedule::RunToCompletion`]) or interleaved in fixed quanta
@@ -12,8 +12,7 @@
 //! fleet's dynamic work becomes one tight loop per process.
 
 use tlr_asm::Program;
-use tlr_core::{EngineConfig, EngineStats, RtmSnapshot, ThroughputEngine};
-use tlr_vm::ExecMode;
+use tlr_core::{EngineConfig, EngineStats, RtmSnapshot, TraceReuseEngine};
 
 /// How the runner interleaves its instances.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,14 +40,12 @@ pub struct BatchSpec {
     /// Warm-start snapshot; `None` starts cold.
     pub warm: Option<RtmSnapshot>,
     /// Collect new traces? `false` builds a serving-only engine
-    /// ([`ThroughputEngine::without_collection`]).
+    /// ([`TraceReuseEngine::without_collection`]).
     pub collect: bool,
-    /// Execution mode for the instance.
-    pub mode: ExecMode,
 }
 
 impl BatchSpec {
-    /// A cold, collecting, fast-mode instance — the common case.
+    /// A cold, collecting instance — the common case.
     pub fn new(
         name: impl Into<String>,
         program: Program,
@@ -62,7 +59,6 @@ impl BatchSpec {
             budget,
             warm: None,
             collect: true,
-            mode: ExecMode::Fast,
         }
     }
 
@@ -75,12 +71,6 @@ impl BatchSpec {
     /// Serving-only: never collect new traces.
     pub fn serving_only(mut self) -> Self {
         self.collect = false;
-        self
-    }
-
-    /// Run in the given mode instead of [`ExecMode::Fast`].
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
         self
     }
 }
@@ -131,16 +121,15 @@ impl BatchRunner {
     /// order. Errors carry the failing instance's name.
     pub fn run(self) -> Result<Vec<BatchOutcome>, String> {
         let Self { schedule, specs } = self;
-        let mut engines: Vec<(String, u64, ThroughputEngine)> = specs
+        let mut engines: Vec<(String, u64, TraceReuseEngine)> = specs
             .into_iter()
             .map(|spec| {
                 let mut engine = match &spec.warm {
                     Some(snapshot) => {
-                        ThroughputEngine::new_warm(&spec.program, spec.config, snapshot)
+                        TraceReuseEngine::new_warm(&spec.program, spec.config, snapshot)
                     }
-                    None => ThroughputEngine::new(&spec.program, spec.config),
-                }
-                .with_mode(spec.mode);
+                    None => TraceReuseEngine::new(&spec.program, spec.config),
+                };
                 if !spec.collect {
                     engine = engine.without_collection();
                 }
@@ -176,15 +165,20 @@ impl BatchRunner {
             }
         }
 
-        Ok(engines
+        engines
             .into_iter()
-            .map(|(name, _, engine)| BatchOutcome {
-                name,
-                digest: engine.vm().state_digest(),
-                snapshot: engine.export_rtm(),
-                stats: engine.stats(),
+            .map(|(name, _, engine)| {
+                let snapshot = engine
+                    .export_rtm()
+                    .ok_or_else(|| format!("{name}: a valid-bit engine exports no RTM"))?;
+                Ok(BatchOutcome {
+                    name,
+                    digest: engine.vm().state_digest(),
+                    snapshot,
+                    stats: engine.stats(),
+                })
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -229,7 +223,7 @@ mod tests {
         let w = tlr_workloads::by_name("compress").unwrap();
         let prog = w.program(7);
         let cfg = EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4));
-        let mut solo = ThroughputEngine::new(&prog, cfg);
+        let mut solo = TraceReuseEngine::new(&prog, cfg);
         let solo_stats = solo.run(30_000).unwrap();
 
         let mut runner = BatchRunner::new(Schedule::RoundRobin { quantum: 777 });
@@ -244,9 +238,9 @@ mod tests {
         let w = tlr_workloads::by_name("li").unwrap();
         let prog = w.program(3);
         let cfg = EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4));
-        let mut teacher = ThroughputEngine::new(&prog, cfg);
+        let mut teacher = TraceReuseEngine::new(&prog, cfg);
         teacher.run(40_000).unwrap();
-        let snap = teacher.export_rtm();
+        let snap = teacher.export_rtm().unwrap();
 
         let mut runner = BatchRunner::new(Schedule::RunToCompletion);
         runner.push(

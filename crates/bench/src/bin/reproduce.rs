@@ -502,7 +502,7 @@ fn main() {
             &opts.out_dir,
             doc,
             "throughput",
-            "Simulator throughput (ours): observing interpreter vs predecoded fast path, reference vs throughput engine (MIPS)",
+            "Simulator throughput (ours): observing interpreter vs predecoded fast path, collecting and serving-only engine (MIPS)",
             &tlr_bench::throughput_table(&cells),
         );
         emit(

@@ -73,7 +73,7 @@ pub enum FleetExecution {
     /// (the default): one [`BatchRunner`] for every cold producer, a
     /// second for every warm consumer.
     Batched(Schedule),
-    /// Legacy shape: one reference engine per worker-pool task, as the
+    /// Legacy shape: one engine per worker-pool task, as the
     /// per-process drivers did.
     Pooled,
 }
@@ -195,7 +195,7 @@ fn run_fleet_batched(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) ->
         .collect()
 }
 
-/// The legacy shape: one reference engine per worker-pool task.
+/// The legacy shape: one engine per worker-pool task.
 fn run_fleet_pooled(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
     let workloads = tlr_workloads::all();
     let threads = cfg.effective_threads(workloads.len());
@@ -352,8 +352,8 @@ mod tests {
         assert_eq!(batched.len(), pooled.len());
         for (b, p) in batched.iter().zip(&pooled) {
             assert_eq!(b.name, p.name);
-            // Reuse decisions are substrate-independent: the fast
-            // batched members must mirror the reference engines exactly.
+            // Reuse decisions are schedule-independent: the batched
+            // members must mirror the pooled engines exactly.
             assert_eq!(b.warm_a, p.warm_a, "{}", b.name);
             assert_eq!(b.warm_b, p.warm_b, "{}", b.name);
             assert_eq!(b.warm_merged, p.warm_merged, "{}", b.name);

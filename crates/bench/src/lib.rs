@@ -22,7 +22,7 @@
 //! | `reproduce policy` | ours — RTM replacement-policy sweep (LRU vs LFU vs cost/benefit, cold and merged-warm) |
 //! | `reproduce daemon` | ours — N concurrent clients warm-starting from one `tlrd` daemon vs the in-process registry path |
 //! | `reproduce decant` | ours — reuse attribution by opcode class and loop structure (`tlr-decant` over the decision tap) |
-//! | `reproduce throughput` | ours — simulator MIPS: observing interpreter vs predecoded fast path, reference vs throughput engine, batched suite |
+//! | `reproduce throughput` | ours — simulator MIPS: observing interpreter vs predecoded fast path, the collecting and serving-only engine against plain execution, batched suite |
 //! | `reproduce serveperf` | ours — zero-copy `Get` latency (cached image vs re-serialization), delta-spill write amplification, base ⊕ delta split-load equality |
 //! | `reproduce crossseed` | ours — cross-seed warm start: same code under different data seeds shares reuse state by shape fingerprint |
 //!

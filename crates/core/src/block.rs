@@ -1,10 +1,10 @@
 //! Straight-line trace blocks — the fast-path form of an RTM entry.
 //!
-//! The reference engine probes the RTM through a `Fn(Loc) -> u64` closure
-//! and, on a hit, clones the whole [`TraceRecord`] before applying its
+//! The plain reuse test probes the RTM through a `Fn(Loc) -> u64`
+//! closure ([`crate::ReuseTraceMemory::lookup`]) and applies a hit's
 //! outputs through [`Vm::apply_trace`]'s per-location dispatch. That is
-//! faithful to §3.3 but pays enum matching and a heap clone on the
-//! hottest path of the whole simulator.
+//! faithful to §3.3 but pays enum matching on the hottest path of the
+//! whole simulator.
 //!
 //! A [`TraceBlock`] is the same trace *pre-validated and flattened*: the
 //! live-in check list and live-out write list split by storage class

@@ -14,17 +14,24 @@
 //! its live-in set, so matching live-ins imply identical execution. The
 //! engine (optionally) verifies this wholesale: a run with reuse enabled
 //! must leave the same architectural state as a plain run
-//! (`tests/engine_equivalence.rs`).
+//! (`tests/engine_equivalence.rs`, `tests/fast_engine.rs`).
+//!
+//! There is one engine, [`TraceReuseEngine`], on the predecoded
+//! substrate: value-comparison hits are probed and applied as cached
+//! straight-line trace blocks, and a miss fills one engine-owned
+//! [`DynInstr`] in place for the collector ([`Vm::step_into`]) — or,
+//! with collection detached, builds no record at all.
 
 use crate::collect::{CollectStats, Collector, Heuristic};
 use crate::ilr::FiniteIlrBuffer;
 use crate::policy::ReplacementPolicy;
 use crate::rtm::{ReuseBackend, ReuseTraceMemory, RtmConfig, RtmSnapshot, RtmStats};
-use crate::trace::IoCaps;
+use crate::trace::{IoCaps, TraceRecord};
 use crate::valid_bit::InvalidatingRtm;
 use tlr_asm::Program;
+use tlr_isa::DynInstr;
 use tlr_stats::Histogram;
-use tlr_vm::{StepResult, Vm, VmError};
+use tlr_vm::{FastStep, Vm, VmError};
 
 /// Which reuse test the engine uses (§3.3 describes both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -194,8 +201,8 @@ impl DecisionLog {
 }
 
 /// What a run of the engine produced. `PartialEq` compares every counter
-/// and the full reused-size histogram — the equality the fast-vs-observed
-/// mode tests assert.
+/// and the full reused-size histogram, so two runs that took the same
+/// decisions compare equal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineStats {
     /// Instructions the VM actually executed.
@@ -241,11 +248,48 @@ impl EngineStats {
     }
 }
 
+/// The reuse-test mechanism behind the engine.
+enum Backend {
+    /// The value-comparison RTM; hits are served as straight-line
+    /// [`crate::block::TraceBlock`]s ([`ReuseTraceMemory::lookup_fast`]).
+    Value(ReuseTraceMemory),
+    /// The §3.3 valid-bit memory, notified of every architectural write.
+    ValidBit(InvalidatingRtm),
+}
+
+impl Backend {
+    fn as_dyn(&self) -> &dyn ReuseBackend {
+        match self {
+            Backend::Value(rtm) => rtm,
+            Backend::ValidBit(rtm) => rtm,
+        }
+    }
+
+    fn insert(&mut self, rec: TraceRecord, vm: &Vm) {
+        match self {
+            Backend::Value(rtm) => rtm.insert(rec),
+            Backend::ValidBit(rtm) => rtm.insert(rec, &|loc| vm.peek_loc(loc)),
+        }
+    }
+}
+
 /// The execution-driven reuse engine: VM + RTM backend + collector.
+///
+/// One engine serves every configuration. A value-comparison hit is
+/// probed and applied through the entry's cached trace block; a miss
+/// executes one instruction through [`Vm::step_into`], which fills the
+/// engine-owned record the collector reads, so no per-instruction record
+/// is built by value. A serving-only engine
+/// ([`TraceReuseEngine::without_collection`]) needs no record and runs
+/// misses on [`Vm::step_fast`]. The valid-bit backend additionally sees
+/// every architectural write of the same step; only it pays for that.
 pub struct TraceReuseEngine {
     vm: Vm,
-    rtm: Box<dyn ReuseBackend>,
-    collector: Collector,
+    rtm: Backend,
+    /// `None` once [`TraceReuseEngine::without_collection`] detached it.
+    collector: Option<Collector>,
+    /// The record every observed step refills in place.
+    rec: DynInstr,
     executed: u64,
     skipped: u64,
     reuse_ops: u64,
@@ -264,17 +308,18 @@ impl TraceReuseEngine {
             Heuristic::IlrNe | Heuristic::IlrExp => Some(FiniteIlrBuffer::new(config.rtm.geometry)),
             Heuristic::FixedExp(_) | Heuristic::BasicBlock => None,
         };
-        let rtm: Box<dyn ReuseBackend> = match config.reuse_test {
-            ReuseTest::ValueCompare => Box::new(
+        let rtm = match config.reuse_test {
+            ReuseTest::ValueCompare => Backend::Value(
                 ReuseTraceMemory::new_with(config.rtm, config.policy)
                     .with_lfu_half_life(config.lfu_half_life),
             ),
-            ReuseTest::ValidBit => Box::new(InvalidatingRtm::new(config.rtm.geometry)),
+            ReuseTest::ValidBit => Backend::ValidBit(InvalidatingRtm::new(config.rtm.geometry)),
         };
         Self {
             vm: Vm::new(program),
             rtm,
-            collector: Collector::new(config.heuristic, config.caps, ilr),
+            collector: Some(Collector::new(config.heuristic, config.caps, ilr)),
+            rec: DynInstr::default(),
             executed: 0,
             skipped: 0,
             reuse_ops: 0,
@@ -300,11 +345,20 @@ impl TraceReuseEngine {
                 ..config
             },
         );
-        engine.rtm = Box::new(
+        engine.rtm = Backend::Value(
             ReuseTraceMemory::import_with(snapshot, config.policy)
                 .with_lfu_half_life(config.lfu_half_life),
         );
         engine
+    }
+
+    /// Detach the collector: the engine only *serves* resident traces
+    /// (warm-start / registry scenarios) and never inserts new ones, so
+    /// under the value-comparison test no step builds a record and the
+    /// miss path is allocation-free. Collector counters read zero.
+    pub fn without_collection(mut self) -> Self {
+        self.collector = None;
+        self
     }
 
     /// Access the VM (state inspection in tests).
@@ -340,22 +394,26 @@ impl TraceReuseEngine {
     /// ([`crate::policy::TraceMeta::source_run`]). No-op for the
     /// valid-bit backend.
     pub fn set_source_run(&mut self, run: u64) {
-        self.rtm.set_source_run(run);
+        if let Backend::Value(rtm) = &mut self.rtm {
+            rtm.set_source_run(run);
+        }
     }
 
     /// Export the RTM's resident traces for persistence (warm-starting a
     /// later run). `None` for the valid-bit backend.
     pub fn export_rtm(&self) -> Option<RtmSnapshot> {
-        self.rtm.snapshot()
+        self.rtm.as_dyn().snapshot()
     }
 
     /// Access the RTM backend.
     pub fn rtm(&self) -> &dyn ReuseBackend {
-        self.rtm.as_ref()
+        self.rtm.as_dyn()
     }
 
     /// Run until `halt` or until `budget` total dynamic instructions
-    /// (executed + skipped) have been accounted.
+    /// (executed + skipped) have been accounted. Incremental calls
+    /// continue where the previous one stopped (the batch scheduler
+    /// round-robins engines by calling this with growing budgets).
     pub fn run(&mut self, budget: u64) -> Result<EngineStats, VmError> {
         while self.executed + self.skipped < budget && !self.halted {
             self.step()?;
@@ -363,70 +421,113 @@ impl TraceReuseEngine {
         Ok(self.stats())
     }
 
+    fn log(&mut self, event: ReuseEvent) {
+        if let Some(tap) = self.tap.as_mut() {
+            tap.push(event);
+        }
+    }
+
     /// One engine step: a reuse hit (skipping a whole trace) or one
     /// executed instruction.
     pub fn step(&mut self) -> Result<(), VmError> {
         let pc = self.vm.pc();
-        let vm = &self.vm;
-        let state = |loc| vm.peek_loc(loc);
-        if let Some(hit) = self.rtm.lookup(pc, &state) {
-            self.vm.apply_trace(hit.outs.iter().copied(), hit.next_pc)?;
-            self.skipped += hit.len as u64;
+        // On a hit the trace is applied and offered to the collector
+        // here, inside the backend's borrow; bookkeeping follows.
+        let hit = match &mut self.rtm {
+            Backend::Value(rtm) => match rtm.lookup_fast(pc, &mut self.vm)? {
+                Some(hit) => {
+                    let (len, next_pc, mix) = (hit.len, hit.next_pc, hit.mix);
+                    if let Some(collector) = self.collector.as_mut() {
+                        for rec in collector.on_reuse_hit(hit.rec) {
+                            rtm.insert(rec);
+                        }
+                    }
+                    Some((len, next_pc, mix))
+                }
+                None => None,
+            },
+            Backend::ValidBit(rtm) => {
+                let vm = &self.vm;
+                match rtm.lookup(pc, &|loc| vm.peek_loc(loc)) {
+                    Some(hit) => {
+                        self.vm.apply_trace(hit.outs.iter().copied(), hit.next_pc)?;
+                        // The trace's outputs are architectural writes.
+                        for &(loc, _) in hit.outs.iter() {
+                            rtm.on_write(loc);
+                        }
+                        if let Some(collector) = self.collector.as_mut() {
+                            let vm = &self.vm;
+                            for rec in collector.on_reuse_hit(&hit) {
+                                rtm.insert(rec, &|loc| vm.peek_loc(loc));
+                            }
+                        }
+                        Some((hit.len, hit.next_pc, hit.mix))
+                    }
+                    None => None,
+                }
+            }
+        };
+        if let Some((len, next_pc, mix)) = hit {
+            self.skipped += len as u64;
             self.reuse_ops += 1;
-            self.reused_sizes.record(hit.len as u64);
-            if let Some(tap) = self.tap.as_mut() {
-                tap.push(ReuseEvent::Hit {
-                    pc,
-                    len: hit.len,
-                    next_pc: hit.next_pc,
-                    mix: hit.mix,
-                });
-            }
-            // The trace's outputs are architectural writes: valid-bit
-            // backends must see them.
-            for (loc, _) in hit.outs.iter() {
-                self.rtm.on_write(*loc);
-            }
-            let recs = self.collector.on_reuse_hit(&hit);
-            let vm = &self.vm;
-            let state = |loc| vm.peek_loc(loc);
-            for rec in recs {
-                self.rtm.insert(rec, &state);
+            self.reused_sizes.record(len as u64);
+            self.log(ReuseEvent::Hit {
+                pc,
+                len,
+                next_pc,
+                mix,
+            });
+            return Ok(());
+        }
+
+        let valid_bit = matches!(self.rtm, Backend::ValidBit(_));
+        if self.collector.is_none() && !valid_bit {
+            // Nothing reads the record: execute without building one.
+            match self.vm.step_fast()? {
+                FastStep::Executed(class) => {
+                    self.executed += 1;
+                    self.log(ReuseEvent::Exec { pc, class });
+                }
+                FastStep::Halted => self.halted = true,
             }
             return Ok(());
         }
-        match self.vm.step()? {
-            StepResult::Executed(d) => {
-                self.executed += 1;
-                if let Some(tap) = self.tap.as_mut() {
-                    tap.push(ReuseEvent::Exec { pc, class: d.class });
-                }
-                for (loc, _) in d.writes.iter() {
-                    self.rtm.on_write(*loc);
-                }
-                let recs = self.collector.on_executed(&d);
-                let vm = &self.vm;
-                let state = |loc| vm.peek_loc(loc);
-                for rec in recs {
-                    self.rtm.insert(rec, &state);
-                }
+        if !self.vm.step_into(&mut self.rec)? {
+            self.halted = true;
+            return Ok(());
+        }
+        self.executed += 1;
+        self.log(ReuseEvent::Exec {
+            pc,
+            class: self.rec.class,
+        });
+        if let Backend::ValidBit(rtm) = &mut self.rtm {
+            for &(loc, _) in self.rec.writes.iter() {
+                rtm.on_write(loc);
             }
-            StepResult::Halted => {
-                self.halted = true;
+        }
+        if let Some(collector) = self.collector.as_mut() {
+            for rec in collector.on_executed(&self.rec) {
+                self.rtm.insert(rec, &self.vm);
             }
         }
         Ok(())
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot. Collector counters are zero when collection
+    /// is detached.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             executed: self.executed,
             skipped: self.skipped,
             reuse_ops: self.reuse_ops,
             halted: self.halted,
-            rtm: self.rtm.stats(),
-            collect: self.collector.stats(),
+            rtm: self.rtm.as_dyn().stats(),
+            collect: self
+                .collector
+                .as_ref()
+                .map(Collector::stats)
+                .unwrap_or_default(),
             reused_sizes: self.reused_sizes.clone(),
         }
     }
@@ -759,6 +860,68 @@ mod tests {
             );
             assert_eq!(stats.total(), plain.executed(), "{policy}");
         }
+    }
+
+    #[test]
+    fn serving_only_engine_hits_without_collecting() {
+        let prog = assemble(HOT_LOOP).unwrap();
+        let config = EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4));
+        // Learn traces with a collecting run, then serve them cold.
+        let mut teacher = TraceReuseEngine::new(&prog, config);
+        teacher.run(100_000).unwrap();
+        let snapshot = teacher.export_rtm().unwrap();
+        assert!(!snapshot.is_empty());
+
+        let mut server = TraceReuseEngine::new_warm(&prog, config, &snapshot).without_collection();
+        let stats = server.run(100_000).unwrap();
+        assert!(stats.halted);
+        assert!(stats.skipped > 0, "warm RTM must serve hits");
+        assert_eq!(stats.rtm.stores, 0, "serving-only engine never inserts");
+        assert_eq!(stats.collect.collected, 0);
+        // Architectural result identical to plain execution.
+        let mut plain = tlr_vm::Vm::new(&prog);
+        plain.run_fast(u64::MAX).unwrap();
+        assert_eq!(server.vm().state_digest(), plain.state_digest());
+    }
+
+    #[test]
+    fn valid_bit_engine_invalidates_after_collection_is_detached() {
+        // A valid-bit entry stays valid only while every write reaches
+        // the backend, so a serving-only valid-bit engine must keep
+        // observing writes. Here the four-instruction trace starting at
+        // the `bnez` reads r1 without writing it; it is stored valid and
+        // dies at the `subq` four instructions later. The engine is
+        // detached just after storing it: were the `subq` unobserved,
+        // the trace would be served with a stale r1, and at r1 = 0 it
+        // would jump back into the loop instead of reaching `halt`.
+        let prog = assemble(
+            r#"
+            li      r1, 300
+    outer:  addq    r2, r1, 10
+            addq    r3, r2, r2
+            stq     r3, 64(r1)
+            nop
+            nop
+            nop
+            subq    r1, r1, 1
+            bnez    r1, outer
+            halt
+            "#,
+        )
+        .unwrap();
+        let config =
+            EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4)).with_valid_bit();
+        let mut engine = TraceReuseEngine::new(&prog, config);
+        // Traces cover stream positions [4k, 4k + 3]; the one starting at
+        // iteration 100's `bnez` ends at position 811.
+        engine.run(812).unwrap();
+        let mut engine = engine.without_collection();
+        let stats = engine.run(1_000_000).unwrap();
+        assert!(stats.halted, "a stale trace kept the loop running");
+        let mut plain = tlr_vm::Vm::new(&prog);
+        plain.run_fast(u64::MAX).unwrap();
+        assert_eq!(engine.vm().state_digest(), plain.state_digest());
+        assert_eq!(stats.total(), plain.executed());
     }
 
     #[test]

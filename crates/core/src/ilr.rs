@@ -231,16 +231,17 @@ impl<T> SetAssocStore<T> {
         self.sets.iter().flatten()
     }
 
-    /// Move the entry at `idx` of `pc`'s group to the MRU position.
-    pub(crate) fn touch(&mut self, pc: u32, idx: usize) {
+    /// Move the entry at `idx` of `pc`'s group to the MRU position and
+    /// return it there (`None` when `pc` has no group).
+    pub(crate) fn touch(&mut self, pc: u32, idx: usize) -> Option<&mut T> {
         self.tick += 1;
         let tick = self.tick;
         let set = &mut self.sets[self.geometry.set_of(pc)];
-        if let Some(g) = set.iter_mut().find(|g| g.pc == pc) {
-            g.last_touch = tick;
-            let entry = g.entries.remove(idx);
-            g.entries.push(entry);
-        }
+        let g = set.iter_mut().find(|g| g.pc == pc)?;
+        g.last_touch = tick;
+        let entry = g.entries.remove(idx);
+        g.entries.push(entry);
+        g.entries.last_mut()
     }
 }
 

@@ -17,8 +17,7 @@
 //! | [`collect`] | §3.2, §4.6 | dynamic trace collection heuristics: `ILR NE`, `ILR EXP`, `I(n) EXP` |
 //! | [`engine`] | §3.3, §4.6 | the execution-driven reuse engine behind Figure 9 |
 //! | [`block`] | ours | straight-line trace blocks: an RTM entry pre-validated and flattened for the fast path |
-//! | [`fast`] | ours | the throughput engine: reference semantics on the predecoded/block-served fast substrate |
-//! | [`valid_bit`] | §3.3 | the valid-bit + invalidation reuse test (the paper's "simpler" alternative) |
+//! //! | [`valid_bit`] | §3.3 | the valid-bit + invalidation reuse test (the paper's "simpler" alternative) |
 //! | [`schemes`] | §2 | Sodani & Sohi's Sv / Sn instruction-reuse buffer schemes |
 //! | [`limits`] | §4.2–§4.5 | the infinite-history limit studies behind Figures 3–8 |
 //! | [`theorems`] | §4.4, appendix | executable Theorems 1–4 |
@@ -62,7 +61,6 @@
 pub mod block;
 pub mod collect;
 pub mod engine;
-pub mod fast;
 pub mod ilr;
 pub mod limits;
 pub mod policy;
@@ -77,7 +75,6 @@ pub use collect::{CollectStats, Collector, Heuristic};
 pub use engine::{
     run_engine, DecisionLog, EngineConfig, EngineStats, ReuseEvent, ReuseTest, TraceReuseEngine,
 };
-pub use fast::ThroughputEngine;
 pub use ilr::{FiniteIlrBuffer, InstrReuseTable, SetAssocGeometry};
 pub use limits::{LatencyRule, LimitConfig, LimitResult, LimitStudySink, TraceIoStats};
 pub use policy::{ClassWeights, ReplacementPolicy, TraceMeta, LFU_HALF_LIFE};

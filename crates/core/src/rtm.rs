@@ -145,19 +145,19 @@ impl PartialEq for RtmEntry {
 
 /// What [`ReuseTraceMemory::lookup_fast`] hands the engine on a hit: the
 /// bookkeeping fields of the reused trace (the architectural update has
-/// already been applied to the VM), plus the full record only when the
-/// caller asked for it (a collector needs it to drive expansion; a
-/// serving-only engine skips the clone entirely).
-#[derive(Clone, Debug)]
-pub struct FastHit {
+/// already been applied to the VM) and the resident record itself,
+/// borrowed in place (a collector reads it to drive expansion; nothing
+/// is cloned).
+#[derive(Clone, Copy, Debug)]
+pub struct FastHit<'a> {
     /// Dynamic instructions the trace covered.
     pub len: u32,
     /// Where control resumed.
     pub next_pc: u32,
     /// Per-class histogram of the skipped instructions.
     pub mix: ClassMix,
-    /// The reused record, cloned only when requested via `want_record`.
-    pub rec: Option<TraceRecord>,
+    /// The reused record, now the most recently used entry of its group.
+    pub rec: &'a TraceRecord,
 }
 
 /// A reuse-test mechanism behind the engine: either the full
@@ -648,6 +648,38 @@ impl ReuseTraceMemory {
         self.store.resident
     }
 
+    /// The one candidate scan behind both reuse tests. Counts the lookup,
+    /// then walks the PC group most recently used first until `probe`
+    /// accepts a candidate; candidates scanned past are value rejections
+    /// (right PC, wrong live-ins). On a hit the entry's provenance and the
+    /// hit counter are bumped and the entry is handed back with its index
+    /// in the group: the caller reads what it needs, then touches the
+    /// index to MRU.
+    fn scan(
+        &mut self,
+        pc: u32,
+        mut probe: impl FnMut(&mut RtmEntry) -> bool,
+    ) -> Option<(usize, &mut RtmEntry)> {
+        self.stats.lookups += 1;
+        self.tick += 1;
+        let entries = self.store.group_mut(pc)?;
+        let mut found = None;
+        let mut rejected = 0u64;
+        for (idx, entry) in entries.iter_mut().enumerate().rev() {
+            if probe(entry) {
+                found = Some((idx, entry));
+                break;
+            }
+            rejected += 1;
+        }
+        self.stats.value_rejects += rejected;
+        let (idx, entry) = found?;
+        entry.meta.hits = entry.meta.hits.saturating_add(1);
+        entry.meta.last_use = self.tick;
+        self.stats.hits += 1;
+        Some((idx, entry))
+    }
+
     /// The reuse test: find a resident trace starting at `pc` whose
     /// recorded live-in values all equal the current architectural values
     /// (`state(loc)`); most recently used candidates are preferred. On a
@@ -657,113 +689,65 @@ impl ReuseTraceMemory {
     /// The state closure is the processor's register file / memory read
     /// port; `tlr_vm::Vm::peek_loc` is the canonical implementation.
     pub fn lookup(&mut self, pc: u32, state: impl Fn(Loc) -> u64) -> Option<TraceRecord> {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let entries = self.store.group_mut(pc)?;
-        // MRU-first: highest index is most recently used. Candidates
-        // scanned past are value rejections: right PC, wrong live-ins.
-        let mut found = None;
-        let mut rejected = 0u64;
-        for (idx, e) in entries.iter().enumerate().rev() {
-            if e.rec.ins.iter().all(|(loc, val)| state(*loc) == *val) {
-                found = Some(idx);
-                break;
-            }
-            rejected += 1;
-        }
-        self.stats.value_rejects += rejected;
-        match found {
-            Some(idx) => {
-                entries[idx].meta.hits = entries[idx].meta.hits.saturating_add(1);
-                entries[idx].meta.last_use = tick;
-                let rec = entries[idx].rec.clone();
-                self.store.touch(pc, idx);
-                self.stats.hits += 1;
-                Some(rec)
-            }
-            None => None,
-        }
+        let (idx, _) = self.scan(pc, |e| {
+            e.rec.ins.iter().all(|&(loc, val)| state(loc) == val)
+        })?;
+        self.store.touch(pc, idx).map(|e| e.rec.clone())
     }
 
-    /// The fast-path reuse test: identical decision procedure and
-    /// bookkeeping to [`ReuseTraceMemory::lookup`], but probing the VM's
-    /// register files and memory directly through each candidate's cached
-    /// [`TraceBlock`] (built here on first use) and, on a hit, applying
+    /// The reuse test the engine runs: the same scan and bookkeeping as
+    /// [`ReuseTraceMemory::lookup`], but probing the VM's register files
+    /// and memory directly through each candidate's cached
+    /// [`TraceBlock`] (built here on first hit) and, on a hit, applying
     /// the trace's outputs straight to `vm` — no state closure, no
-    /// per-location `Loc` dispatch, and no record clone unless
-    /// `want_record` asks for one (a collector needs the record to drive
-    /// expansion).
+    /// per-location `Loc` dispatch, and no record clone: the hit borrows
+    /// the resident record.
     ///
-    /// Mirrors the reference path's error contract: a matching trace
-    /// whose recorded next PC falls outside the program returns
-    /// [`VmError::BadJumpTarget`] *without* applying any outputs, exactly
-    /// as [`Vm::apply_trace`] would after a plain `lookup`, and with the
-    /// same hit bookkeeping already performed.
-    pub fn lookup_fast(
-        &mut self,
-        pc: u32,
-        vm: &mut Vm,
-        want_record: bool,
-    ) -> Result<Option<FastHit>, VmError> {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        let tick = self.tick;
+    /// A matching trace whose recorded next PC falls outside the program
+    /// returns [`VmError::BadJumpTarget`] *without* applying any outputs,
+    /// exactly as [`Vm::apply_trace`] would after a plain `lookup`, and
+    /// with the same hit bookkeeping already performed.
+    pub fn lookup_fast(&mut self, pc: u32, vm: &mut Vm) -> Result<Option<FastHit<'_>>, VmError> {
         let code_len = vm.code_len();
-        let Some(entries) = self.store.group_mut(pc) else {
-            return Ok(None);
-        };
-        // MRU-first: highest index is most recently used. Candidates
-        // scanned past are value rejections: right PC, wrong live-ins.
-        let mut found = None;
-        let mut rejected = 0u64;
-        for (idx, entry) in entries.iter_mut().enumerate().rev() {
+        let state: &Vm = vm;
+        let probe = |entry: &mut RtmEntry| {
             let RtmEntry { rec, block, .. } = entry;
             let matches = match block {
                 // A proven trace checks its flat per-class lists.
-                Some(b) => b.matches(vm),
-                // No block yet (fresh insert or invalidated entry):
-                // probe the raw record without allocating. Under
-                // collection churn most entries are evicted before they
-                // ever match, so blocks are compiled only for traces
-                // that prove themselves with a hit.
-                None => rec.ins.iter().all(|&(loc, val)| vm.peek_loc(loc) == val),
+                Some(b) => b.matches(state),
+                // No block yet (fresh insert or invalidated entry): probe
+                // the raw record without allocating. Under collection
+                // churn most entries are evicted before they ever match,
+                // so blocks are compiled only for traces that prove
+                // themselves with a hit.
+                None => rec.ins.iter().all(|&(loc, val)| state.peek_loc(loc) == val),
             };
             if matches {
                 block.get_or_insert_with(|| Box::new(TraceBlock::build(rec, code_len)));
-                found = Some(idx);
-                break;
             }
-            rejected += 1;
-        }
-        self.stats.value_rejects += rejected;
-        match found {
-            Some(idx) => {
-                entries[idx].meta.hits = entries[idx].meta.hits.saturating_add(1);
-                entries[idx].meta.last_use = tick;
-                let block = entries[idx].block.as_deref().expect("block built above");
-                if !block.pre_validated() {
-                    let target = block.next_pc() as u64;
-                    self.store.touch(pc, idx);
-                    self.stats.hits += 1;
-                    return Err(VmError::BadJumpTarget {
-                        pc: vm.pc(),
-                        target,
-                    });
-                }
-                block.apply(vm);
-                let hit = FastHit {
-                    len: block.len(),
-                    next_pc: block.next_pc(),
-                    mix: block.mix(),
-                    rec: want_record.then(|| entries[idx].rec.clone()),
-                };
-                self.store.touch(pc, idx);
-                self.stats.hits += 1;
-                Ok(Some(hit))
-            }
-            None => Ok(None),
-        }
+            matches
+        };
+        let Some((idx, entry)) = self.scan(pc, probe) else {
+            return Ok(None);
+        };
+        let block = entry.block.as_deref().expect("the probe built the block");
+        let applied = if block.pre_validated() {
+            block.apply(vm);
+            Ok((block.len(), block.next_pc(), block.mix()))
+        } else {
+            Err(VmError::BadJumpTarget {
+                pc: vm.pc(),
+                target: block.next_pc() as u64,
+            })
+        };
+        let entry = self.store.touch(pc, idx).expect("the scan found the group");
+        let (len, next_pc, mix) = applied?;
+        Ok(Some(FastHit {
+            len,
+            next_pc,
+            mix,
+            rec: &entry.rec,
+        }))
     }
 
     /// Store a collected trace. A trace **fully identical** to a resident
@@ -1415,10 +1399,11 @@ mod tests {
 
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        let hit = rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        let hit = rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
         assert_eq!(hit.len, 3);
         assert_eq!(hit.next_pc, 14);
-        assert!(hit.rec.is_none(), "no record clone unless requested");
+        // The hit borrows the resident record.
+        assert_eq!(hit.rec.outs.as_ref(), &[(R2, 12), (Loc::Mem(7), 3)]);
         // Outputs applied directly.
         assert_eq!(vm.peek_loc(R2), 12);
         assert_eq!(vm.peek_loc(Loc::Mem(7)), 3);
@@ -1426,19 +1411,17 @@ mod tests {
         // The block is now cached on the entry.
         assert!(cached_block(&mut rtm, 10, 0).is_some());
 
-        // want_record clones the full record.
+        // A second hit serves the cached block.
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        let hit = rtm.lookup_fast(10, &mut vm, true).unwrap().unwrap();
-        assert_eq!(
-            hit.rec.unwrap().outs.as_ref(),
-            &[(R2, 12), (Loc::Mem(7), 3)]
-        );
+        let hit = rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
+        assert_eq!(hit.next_pc, 14);
+        assert_eq!(vm.peek_loc(R2), 12);
 
         // A miss probes without applying anything.
         let mut vm = fast_vm();
         vm.poke_loc(R1, 6);
-        assert!(rtm.lookup_fast(10, &mut vm, false).unwrap().is_none());
+        assert!(rtm.lookup_fast(10, &mut vm).unwrap().is_none());
         assert_eq!(vm.peek_loc(R2), 0);
         assert_eq!(rtm.stats().hits, 2);
         assert_eq!(rtm.stats().lookups, 3);
@@ -1452,7 +1435,7 @@ mod tests {
         // Build and cache the block.
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
         assert!(cached_block(&mut rtm, 10, 0).is_some());
 
         // Same reuse key, different outputs: conflict replacement drops
@@ -1464,7 +1447,7 @@ mod tests {
         // ...and the next fast hit serves the replacement record.
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        let hit = rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        let hit = rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
         assert_eq!(hit.next_pc, 15);
         assert_eq!(vm.peek_loc(R2), 99);
     }
@@ -1475,7 +1458,7 @@ mod tests {
         rtm.insert(rec(10, &[(R1, 5)], &[(R2, 12)], 14));
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
         assert!(cached_block(&mut rtm, 10, 0).is_some());
 
         // Re-encounter of the identical record, now carrying a class
@@ -1489,7 +1472,7 @@ mod tests {
 
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        let hit = rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        let hit = rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
         assert!(!hit.mix.is_empty(), "rebuilt block carries the new mix");
     }
 
@@ -1499,7 +1482,7 @@ mod tests {
         rtm.insert(rec(10, &[(R1, 0)], &[(R2, 100)], 14));
         let mut vm = fast_vm();
         vm.poke_loc(R1, 0);
-        rtm.lookup_fast(10, &mut vm, false).unwrap().unwrap();
+        rtm.lookup_fast(10, &mut vm).unwrap().unwrap();
 
         // Fill the PC group past capacity; the LRU entry (v=0, despite
         // its recent hit being older than the newer stores) is evicted.
@@ -1510,9 +1493,37 @@ mod tests {
         let mut vm = fast_vm();
         vm.poke_loc(R1, 0);
         assert!(
-            rtm.lookup_fast(10, &mut vm, false).unwrap().is_none(),
+            rtm.lookup_fast(10, &mut vm).unwrap().is_none(),
             "evicted trace must not be served from any cache"
         );
+    }
+
+    #[test]
+    fn both_lookups_take_the_same_decisions_and_bookkeeping() {
+        // Two RTMs with identical contents, one probed through the state
+        // closure and one through trace blocks, must pick the same
+        // candidates and count the same lookups, hits and rejects.
+        let mut by_closure = ReuseTraceMemory::new(RtmConfig::RTM_512);
+        let mut by_block = ReuseTraceMemory::new(RtmConfig::RTM_512);
+        for v in 0..3u64 {
+            let trace = rec(10, &[(R1, v)], &[(R2, v + 100)], 11 + v as u32);
+            by_closure.insert(trace.clone());
+            by_block.insert(trace);
+        }
+        for v in [2u64, 0, 7, 1, 2, 9] {
+            let mut vm = fast_vm();
+            vm.poke_loc(R1, v);
+            let closure_hit = by_closure.lookup(10, |loc| vm.peek_loc(loc));
+            let block_hit = by_block.lookup_fast(10, &mut vm).unwrap();
+            assert_eq!(
+                closure_hit.map(|r| r.next_pc),
+                block_hit.map(|h| h.next_pc),
+                "live-in {v}"
+            );
+        }
+        assert_eq!(by_closure.stats(), by_block.stats());
+        assert_eq!(by_closure.stats().value_rejects, 2 + 3 + 2 + 2 + 3);
+        assert_eq!(by_closure.export(), by_block.export());
     }
 
     #[test]
@@ -1523,7 +1534,7 @@ mod tests {
         rtm.insert(rec(10, &[(R1, 5)], &[(R2, 12)], 999));
         let mut vm = fast_vm();
         vm.poke_loc(R1, 5);
-        let err = rtm.lookup_fast(10, &mut vm, false).unwrap_err();
+        let err = rtm.lookup_fast(10, &mut vm).unwrap_err();
         assert_eq!(
             err,
             VmError::BadJumpTarget {

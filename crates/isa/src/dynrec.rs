@@ -49,6 +49,20 @@ pub struct DynInstr {
     pub writes: WriteSet,
 }
 
+/// A blank record (PC 0, class [`OpClass::Nop`], no reads or writes):
+/// the buffer a caller hands `tlr_vm::Vm::step_into` to fill in place.
+impl Default for DynInstr {
+    fn default() -> Self {
+        Self {
+            pc: 0,
+            next_pc: 0,
+            class: OpClass::Nop,
+            reads: ReadSet::new(),
+            writes: WriteSet::new(),
+        }
+    }
+}
+
 impl DynInstr {
     /// 128-bit signature of the instruction's input: folds the ordered
     /// read locations and their values. Two dynamic instances of the same

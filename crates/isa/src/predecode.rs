@@ -1,5 +1,5 @@
-//! Predecoded program form — the dense dispatch table behind the
-//! throughput engine.
+//! Predecoded program form — the dense dispatch table behind every
+//! step of the VM.
 //!
 //! [`Instr`] is the *assembler's* view of an instruction: nested enums
 //! ([`Operand`]), typed registers, and displacement/immediate fields that
@@ -12,8 +12,13 @@
 //! dense, cache-friendly array with no per-step conversions.
 //!
 //! The table is pure derived data: it changes nothing observable about
-//! execution, and `tlr-vm` asserts that the predecoded interpreter and
-//! the [`Instr`]-walking reference produce identical dynamic streams.
+//! execution. Both of `tlr-vm`'s step paths dispatch over it; its test
+//! `run_records_match_fresh_step_records` (and
+//! `run_records_match_fresh_step_records_on_every_workload` in
+//! `tests/fast_engine.rs`) asserts that the records `Vm::run` refills in
+//! one buffer equal freshly built `Vm::step` records field by field, and
+//! `fast_path_matches_observed_execution` that the record-free path
+//! reaches the same state.
 
 use crate::instr::{BranchCond, FpCmpOp, FpOp, FpUnOp, Instr, IntOp, Operand};
 use crate::latency::OpClass;

@@ -96,11 +96,12 @@ fn describe(d: &DynInstr) -> String {
 /// returned [`Vm`] equals the recording run's state.
 pub fn replay(program: &Program, source: &mut dyn RecordSource) -> Result<(ReplayStats, Vm)> {
     let mut vm = Vm::new(program);
+    let mut actual = DynInstr::default();
     let mut index = 0u64;
     while let Some(expected) = source.next_record()? {
-        let actual = match vm.step() {
-            Ok(StepResult::Executed(d)) => d,
-            Ok(StepResult::Halted) => {
+        match vm.step_into(&mut actual) {
+            Ok(true) => {}
+            Ok(false) => {
                 return Err(PersistError::Divergence {
                     index,
                     expected: describe(&expected),
@@ -114,7 +115,7 @@ pub fn replay(program: &Program, source: &mut dyn RecordSource) -> Result<(Repla
                     actual: format!("vm error: {e}"),
                 })
             }
-        };
+        }
         if actual != expected {
             return Err(PersistError::Divergence {
                 index,

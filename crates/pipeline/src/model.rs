@@ -4,7 +4,7 @@ use tlr_asm::Program;
 use tlr_core::{Collector, FiniteIlrBuffer, Heuristic, IoCaps, ReuseTraceMemory, RtmConfig};
 use tlr_isa::{Alpha21164, DynInstr, LatencyModel, Loc};
 use tlr_timing::CompletionTables;
-use tlr_vm::{StepResult, Vm, VmError};
+use tlr_vm::{Vm, VmError};
 
 /// Reuse-side configuration of the pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -245,6 +245,7 @@ impl Pipeline {
 
     /// Run until `halt` or `budget` architectural instructions.
     pub fn run(&mut self, budget: u64) -> Result<PipeStats, VmError> {
+        let mut rec = DynInstr::default();
         while self.stats.instrs < budget && !self.stats.halted {
             // Fetch-stage RTM probe.
             if self.rtm.is_some() {
@@ -265,16 +266,15 @@ impl Pipeline {
                     continue;
                 }
             }
-            match self.vm.step()? {
-                StepResult::Executed(d) => {
-                    self.dispatch_normal(&d);
-                    if let Some(collector) = self.collector.as_mut() {
-                        for rec in collector.on_executed(&d) {
-                            self.rtm.as_mut().unwrap().insert(rec);
-                        }
-                    }
+            if !self.vm.step_into(&mut rec)? {
+                self.stats.halted = true;
+                continue;
+            }
+            self.dispatch_normal(&rec);
+            if let Some(collector) = self.collector.as_mut() {
+                for trace in collector.on_executed(&rec) {
+                    self.rtm.as_mut().unwrap().insert(trace);
                 }
-                StepResult::Halted => self.stats.halted = true,
             }
         }
         self.stats.cycles = self.max_cycle;

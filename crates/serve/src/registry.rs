@@ -666,18 +666,30 @@ impl SnapshotRegistry {
     /// The returned [`RtmSnapshot`] is shared (`Arc`) and immutable;
     /// feed it to [`tlr_core::TraceReuseEngine::new_warm`].
     pub fn get(&self, fingerprint: u64) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
+        let snap = self.fetch(fingerprint, true)?;
+        if snap.is_none() {
+            self.unknown.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(snap)
+    }
+
+    /// [`get`](SnapshotRegistry::get) without counting an unknown, and
+    /// with hits and misses counted only when `count` is set. Shape
+    /// resolution reads donors and probes the exact fingerprint through
+    /// this, so one `get_by_shape` counts one fetch.
+    fn fetch(&self, fingerprint: u64, count: bool) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
+        let hit = u64::from(count);
         // Resident state first: a program that only ever arrived via
         // publish-back has no snapshot file but must still be served.
         {
             let mut shard = self.shard_of(fingerprint).lock().unwrap();
             if let Some(entry) = shard.touch(fingerprint) {
-                entry.stats.hits += 1;
+                entry.stats.hits += hit;
                 return Ok(Some(Arc::clone(&entry.snap)));
             }
         }
         let paths = self.paths(fingerprint);
         if paths.is_empty() {
-            self.unknown.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
         }
         // Miss: load and merge outside the lock, under the configured
@@ -707,7 +719,7 @@ impl SnapshotRegistry {
         let loaded = Entry {
             rtm: self.import(&merged),
             stats: EntryStats {
-                misses: 1,
+                misses: hit,
                 resident_traces: merged.len() as u64,
                 resident_hits: merged.total_hits(),
                 ..EntryStats::default()
@@ -721,7 +733,7 @@ impl SnapshotRegistry {
         let mut shard = self.shard_of(fingerprint).lock().unwrap();
         if let Some(entry) = shard.touch(fingerprint) {
             // A racing fetch resolved the miss first; use its entry.
-            entry.stats.hits += 1;
+            entry.stats.hits += hit;
             return Ok(Some(Arc::clone(&entry.snap)));
         }
         shard.tick += 1;
@@ -756,14 +768,33 @@ impl SnapshotRegistry {
     /// resolves. Donors that exist but fail to load or pool are not a
     /// silent miss: each such fetch is logged, counted in
     /// [`RegistryStats::shape_rejects`], and still returns `Ok(None)`.
+    ///
+    /// One call counts one fetch: a hit or a miss when the fingerprint
+    /// itself resolves, a miss plus a shape hit on the new entry when
+    /// donors resolve it (the exact probe and the donor reads are not
+    /// counted), and an unknown when nothing resolves.
     pub fn get_by_shape(
         &self,
         fingerprint: u64,
         shape: u64,
     ) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
-        if let Some(snap) = self.get(fingerprint)? {
+        if let Some(snap) = self.fetch(fingerprint, true)? {
             return Ok(Some(snap));
         }
+        let resolved = self.resolve_shape(fingerprint, shape)?;
+        if resolved.is_none() {
+            self.unknown.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(resolved)
+    }
+
+    /// The shape half of [`get_by_shape`](SnapshotRegistry::get_by_shape),
+    /// for a fingerprint neither resident nor on disk.
+    fn resolve_shape(
+        &self,
+        fingerprint: u64,
+        shape: u64,
+    ) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
         if shape == 0 {
             return Ok(None);
         }
@@ -777,7 +808,7 @@ impl SnapshotRegistry {
         // back to cold, but visibly.
         let mut pooled_inputs = Vec::with_capacity(donors.len());
         for donor in &donors {
-            match self.get(*donor) {
+            match self.fetch(*donor, false) {
                 Ok(Some(snap)) => pooled_inputs.push((*snap).clone()),
                 Ok(None) => {}
                 Err(e) => {

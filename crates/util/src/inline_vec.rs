@@ -65,8 +65,12 @@ impl<T, const N: usize> InlineVec<T, N> {
     /// Append an element. Panics if the vector is full.
     #[inline]
     pub fn push(&mut self, value: T) {
-        assert!(self.len() < N, "InlineVec overflow (capacity {N})");
-        self.items[self.len()].write(value);
+        let len = self.len();
+        assert!(len < N, "InlineVec overflow (capacity {N})");
+        // SAFETY: the assert above bounds `len` below `N`, the length of
+        // `items`, so the unchecked index is in range (one bound check,
+        // not two).
+        unsafe { self.items.get_unchecked_mut(len) }.write(value);
         self.len += 1;
     }
 

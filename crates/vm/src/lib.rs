@@ -20,14 +20,14 @@
 //!
 //! Execution comes in two models sharing one predecoded dispatch table
 //! ([`tlr_isa::Predecoded`], built once in [`Vm::new`]): the *observed*
-//! path ([`Vm::step`]/[`Vm::run`]) materializes a full [`tlr_isa::DynInstr`]
-//! per instruction, while the *fast* path ([`Vm::step_fast`]/
-//! [`Vm::run_fast`]) is allocation-free and record-free for when nothing
-//! is consuming the dynamic stream. [`ExecMode`] selects between them;
-//! both compute identical architectural state.
+//! step ([`Vm::step_into`], driven by [`Vm::run`]) fills a caller-owned
+//! [`tlr_isa::DynInstr`] in place per instruction, while the *fast* path
+//! ([`Vm::step_fast`]/[`Vm::run_fast`]) builds no record at all for when
+//! nothing is consuming the dynamic stream. Both compute identical
+//! architectural state.
 
 mod memory;
 mod vm;
 
 pub use memory::Memory;
-pub use vm::{ExecMode, FastStep, RunOutcome, StepResult, Vm, VmError};
+pub use vm::{FastStep, RunOutcome, StepResult, Vm, VmError};

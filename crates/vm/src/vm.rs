@@ -69,23 +69,6 @@ impl RunOutcome {
     }
 }
 
-/// Which execution model drives the hot loop.
-///
-/// Both modes compute identical architectural state; the split exists so
-/// that the per-instruction [`DynInstr`] record — heap-free but still a
-/// ~100-byte value with inline read/write vectors — is materialized
-/// *lazily*, only when something (a collector, a tap, a recorder) is
-/// actually consuming the dynamic stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Predecoded dispatch with no per-step record: [`Vm::step_fast`].
-    Fast,
-    /// Reference observed execution: every step materializes the full
-    /// [`DynInstr`] via [`Vm::step`].
-    #[default]
-    Observed,
-}
-
 /// Result of a single [`Vm::step_fast`] — like [`StepResult`] but
 /// reporting only the executed instruction's class, with no record built.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -296,21 +279,38 @@ impl Vm {
     }
 
     /// Execute one instruction, returning its dynamic record (or
-    /// [`StepResult::Halted`]). This is the *observed* step: it
-    /// materializes the full [`DynInstr`] an ATOM-style instrumentation
-    /// pass would produce. The dispatch itself runs over the predecoded
-    /// table, exactly like [`Vm::step_fast`].
+    /// [`StepResult::Halted`]) in a freshly built [`DynInstr`]. A thin
+    /// wrapper over [`Vm::step_into`] for callers that keep records;
+    /// loops should reuse one buffer through `step_into` instead.
     pub fn step(&mut self) -> Result<StepResult, VmError> {
+        let mut rec = DynInstr::default();
+        Ok(if self.step_into(&mut rec)? {
+            StepResult::Executed(rec)
+        } else {
+            StepResult::Halted
+        })
+    }
+
+    /// The *observed* step: execute one instruction and describe it in
+    /// `rec`, the full record an ATOM-style instrumentation pass would
+    /// produce, filled in place so a run reuses one caller-owned buffer
+    /// instead of returning a ~150-byte value per instruction. Every
+    /// field is overwritten, so nothing of the previous step survives.
+    /// The dispatch itself runs over the predecoded table, exactly like
+    /// [`Vm::step_fast`].
+    ///
+    /// Returns `Ok(true)` when an instruction executed and `Ok(false)` at
+    /// `halt`; after `Ok(false)` or an error the contents of `rec` are
+    /// unspecified.
+    #[inline]
+    pub fn step_into(&mut self, rec: &mut DynInstr) -> Result<bool, VmError> {
         let pc = self.pc;
         let op = self.pre.op(pc).ok_or(VmError::PcOutOfRange { pc })?;
-
-        let mut rec = DynInstr {
-            pc,
-            next_pc: pc + 1,
-            class: self.pre.class(pc),
-            reads: Default::default(),
-            writes: Default::default(),
-        };
+        rec.pc = pc;
+        rec.next_pc = pc + 1;
+        rec.class = self.pre.class(pc);
+        rec.reads.clear();
+        rec.writes.clear();
 
         // Register fields are raw predecoded indices; index 31 is the
         // hardwired zero register (reads unrecorded, writes discarded).
@@ -456,13 +456,13 @@ impl Vm {
                 }
                 rec.next_pc = v as u32;
             }
-            POp::Halt => return Ok(StepResult::Halted),
+            POp::Halt => return Ok(false),
             POp::Nop => {}
         }
 
         self.pc = rec.next_pc;
         self.executed += 1;
-        Ok(StepResult::Executed(rec))
+        Ok(true)
     }
 
     /// Execute one instruction with no dynamic record: the allocation-free
@@ -614,20 +614,18 @@ impl Vm {
     }
 
     /// Run until `halt` or until `budget` instructions have executed,
-    /// pushing every record to `sink`.
+    /// pushing every record to `sink`. One record buffer serves the whole
+    /// run ([`Vm::step_into`]); the sink sees it refilled per step.
     pub fn run(&mut self, budget: u64, sink: &mut impl StreamSink) -> Result<RunOutcome, VmError> {
+        let mut rec = DynInstr::default();
         let mut n = 0u64;
         while n < budget {
-            match self.step()? {
-                StepResult::Executed(rec) => {
-                    sink.observe(&rec);
-                    n += 1;
-                }
-                StepResult::Halted => {
-                    sink.finish();
-                    return Ok(RunOutcome::Halted { executed: n });
-                }
+            if !self.step_into(&mut rec)? {
+                sink.finish();
+                return Ok(RunOutcome::Halted { executed: n });
             }
+            sink.observe(&rec);
+            n += 1;
         }
         sink.finish();
         Ok(RunOutcome::BudgetExhausted { executed: n })
@@ -644,24 +642,6 @@ impl Vm {
             }
         }
         Ok(RunOutcome::BudgetExhausted { executed: n })
-    }
-
-    /// Run in the given [`ExecMode`]. `Observed` pushes every record to
-    /// `sink`; `Fast` produces no records (the sink only sees `finish`).
-    pub fn run_mode(
-        &mut self,
-        budget: u64,
-        mode: ExecMode,
-        sink: &mut impl StreamSink,
-    ) -> Result<RunOutcome, VmError> {
-        match mode {
-            ExecMode::Observed => self.run(budget, sink),
-            ExecMode::Fast => {
-                let outcome = self.run_fast(budget)?;
-                sink.finish();
-                Ok(outcome)
-            }
-        }
     }
 }
 
@@ -940,21 +920,55 @@ mod tests {
         assert_eq!(sink.records.len() as u64, obs.executed());
     }
 
+    /// Run `src` twice: through [`Vm::run`], whose one reused record the
+    /// sink copies per step, and through repeated [`Vm::step`], which
+    /// builds a fresh record each time. A field left over from the
+    /// previous step of the reused buffer shows as a mismatch.
+    fn assert_run_records_match_fresh_steps(src: &str) {
+        let prog = assemble(src).unwrap();
+        let mut reused = Vm::new(&prog);
+        let mut sink = CollectSink::default();
+        reused.run(100_000, &mut sink).unwrap();
+        let mut fresh = Vm::new(&prog);
+        let mut n = 0;
+        while let StepResult::Executed(want) = fresh.step().unwrap() {
+            let got = &sink.records[n];
+            assert_eq!(got.pc, want.pc, "record {n}: pc");
+            assert_eq!(got.next_pc, want.next_pc, "record {n}: next_pc");
+            assert_eq!(got.class, want.class, "record {n}: class");
+            assert_eq!(
+                got.reads.as_slice(),
+                want.reads.as_slice(),
+                "record {n}: reads"
+            );
+            assert_eq!(
+                got.writes.as_slice(),
+                want.writes.as_slice(),
+                "record {n}: writes"
+            );
+            n += 1;
+        }
+        assert_eq!(n, sink.records.len(), "record count");
+        assert_eq!(reused.state_digest(), fresh.state_digest());
+    }
+
     #[test]
-    fn run_mode_selects_the_step_path() {
-        let prog = assemble(ALL_OPS).unwrap();
-        let mut a = Vm::new(&prog);
-        let mut b = Vm::new(&prog);
-        let mut sink_a = CollectSink::default();
-        let mut sink_b = CollectSink::default();
-        let oa = a
-            .run_mode(100_000, ExecMode::Observed, &mut sink_a)
-            .unwrap();
-        let ob = b.run_mode(100_000, ExecMode::Fast, &mut sink_b).unwrap();
-        assert_eq!(oa, ob);
-        assert_eq!(a.state_digest(), b.state_digest());
-        assert!(!sink_a.records.is_empty());
-        assert!(sink_b.records.is_empty());
+    fn run_records_match_fresh_step_records() {
+        assert_run_records_match_fresh_steps(ALL_OPS);
+        // Each step records less than the one before: the load's reads
+        // and write, then none at all, then a taken jump's next PC.
+        assert_run_records_match_fresh_steps(
+            r#"
+            .org 0x40
+    v:      .word 9
+            li      r1, v
+            ldq     r2, 0(r1)
+            nop
+            br      done
+            nop
+    done:   halt
+            "#,
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! command line.
 //!
 //! ```text
-//! tlrsim run FILE      [--budget N] [--fast] [--mode fast|observed] [--reuse]
+//! tlrsim run FILE      [--budget N] [--reuse]
 //!                      [--rtm SIZE] [--heuristic H] [--policy P]
 //!                      [--warm-rtm SNAP]
 //! tlrsim disasm FILE
@@ -36,11 +36,10 @@
 //! daemon/fleet gates compare).
 //!
 //! `run` executes a program (optionally under the reuse engine; with
-//! `--warm-rtm` the engine starts from a saved RTM snapshot). `--fast`
-//! (equivalently `--mode fast`; `--mode observed` is the default) runs
-//! on the predecoded fast path — plain execution uses the flat-dispatch
-//! interpreter, reuse runs use the throughput engine with straight-line
-//! trace blocks — and every run prints its instructions/sec. `disasm`
+//! `--warm-rtm` the engine starts from a saved RTM snapshot). Plain
+//! execution runs the predecoded interpreter with no per-instruction
+//! record, reuse runs the one reuse engine, and every run prints its
+//! instructions/sec. `disasm`
 //! prints the assembled listing, `analyze` runs the paper's full limit
 //! study, `decant` runs the reuse engine with its decision tap enabled
 //! and attributes every reuse decision by opcode class and loop
@@ -83,7 +82,7 @@ use trace_reuse::prelude::*;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  tlrsim run FILE     [--budget N] [--fast] [--mode fast|observed] [--reuse] \
+        "usage:\n  tlrsim run FILE     [--budget N] [--reuse] \
          [--rtm 512|4k|32k|256k] \
          [--heuristic i1..i8|ilr-ne|ilr-exp|bb] [--policy lru|lfu|cost-benefit] \
          [--warm-rtm SNAP]\n  tlrsim disasm FILE\n  \
@@ -174,7 +173,6 @@ fn parse_policy(s: &str) -> ReplacementPolicy {
 struct Flags {
     budget: u64,
     window: usize,
-    fast: bool,
     reuse: bool,
     rtm: RtmConfig,
     heuristic: Heuristic,
@@ -199,7 +197,6 @@ fn parse_flags(args: &[String]) -> Flags {
     let mut flags = Flags {
         budget: 1_000_000,
         window: 256,
-        fast: false,
         reuse: false,
         rtm: RtmConfig::RTM_4K,
         heuristic: Heuristic::FixedExp(4),
@@ -237,20 +234,6 @@ fn parse_flags(args: &[String]) -> Flags {
                 flags.window = value(args, i, "--window")
                     .parse()
                     .unwrap_or_else(|e| usage_error(&format!("--window: {e}")));
-                i += 2;
-            }
-            "--fast" => {
-                flags.fast = true;
-                i += 1;
-            }
-            "--mode" => {
-                flags.fast = match value(args, i, "--mode").to_ascii_lowercase().as_str() {
-                    "fast" => true,
-                    "observed" => false,
-                    other => usage_error(&format!(
-                        "unknown execution mode '{other}' (fast, observed)"
-                    )),
-                };
                 i += 2;
             }
             "--reuse" => {
@@ -342,83 +325,17 @@ fn parse_flags(args: &[String]) -> Flags {
     flags
 }
 
-/// A reuse engine on either substrate: the reference engine or the
-/// predecoded throughput engine (`--fast`). Both make identical reuse
-/// decisions; only the machinery underneath differs.
-enum AnyEngine {
-    Reference(Box<TraceReuseEngine>),
-    Fast(Box<ThroughputEngine>),
-}
-
-impl AnyEngine {
-    fn build(
-        program: &Program,
-        config: EngineConfig,
-        warm: Option<&RtmSnapshot>,
-        fast: bool,
-    ) -> Self {
-        match (fast, warm) {
-            (true, Some(s)) => {
-                AnyEngine::Fast(Box::new(ThroughputEngine::new_warm(program, config, s)))
-            }
-            (true, None) => AnyEngine::Fast(Box::new(ThroughputEngine::new(program, config))),
-            (false, Some(s)) => {
-                AnyEngine::Reference(Box::new(TraceReuseEngine::new_warm(program, config, s)))
-            }
-            (false, None) => AnyEngine::Reference(Box::new(TraceReuseEngine::new(program, config))),
-        }
-    }
-
-    fn set_source_run(&mut self, run: u64) {
-        match self {
-            AnyEngine::Reference(e) => e.set_source_run(run),
-            AnyEngine::Fast(e) => e.set_source_run(run),
-        }
-    }
-
-    fn run(&mut self, budget: u64) -> Result<EngineStats, trace_reuse::vm::VmError> {
-        match self {
-            AnyEngine::Reference(e) => e.run(budget),
-            AnyEngine::Fast(e) => e.run(budget),
-        }
-    }
-
-    fn export_rtm(&self) -> Option<RtmSnapshot> {
-        match self {
-            AnyEngine::Reference(e) => e.export_rtm(),
-            AnyEngine::Fast(e) => Some(e.export_rtm()),
-        }
-    }
-
-    fn state_digest(&self) -> u64 {
-        match self {
-            AnyEngine::Reference(e) => e.vm().state_digest(),
-            AnyEngine::Fast(e) => e.vm().state_digest(),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            AnyEngine::Reference(_) => "reference",
-            AnyEngine::Fast(_) => "fast",
-        }
-    }
-}
-
 fn cmd_run(path: &str, flags: &Flags) {
     let program = load(path, flags.seed);
     if !flags.reuse && flags.warm_rtm.is_none() && flags.remote.is_none() {
         let mut vm = Vm::new(&program);
         let started = std::time::Instant::now();
-        let outcome = if flags.fast {
-            vm.run_fast(flags.budget)
-        } else {
-            vm.run(flags.budget, &mut NullSink)
-        }
-        .unwrap_or_else(|e| fail(&format!("runtime error: {e}")));
+        let outcome = vm
+            .run_fast(flags.budget)
+            .unwrap_or_else(|e| fail(&format!("runtime error: {e}")));
         let dt = started.elapsed();
         println!(
-            "{}: {} instructions in {:.1} ms ({:.1} M instr/s, {} interpreter)",
+            "{}: {} instructions in {:.1} ms ({:.1} M instr/s)",
             match outcome {
                 RunOutcome::Halted { .. } => "halted",
                 RunOutcome::BudgetExhausted { .. } => "budget exhausted",
@@ -426,11 +343,6 @@ fn cmd_run(path: &str, flags: &Flags) {
             outcome.executed(),
             dt.as_secs_f64() * 1e3,
             outcome.executed() as f64 / dt.as_secs_f64() / 1e6,
-            if flags.fast {
-                "predecoded"
-            } else {
-                "observing"
-            }
         );
         if flags.digest {
             println!("state digest: {:016x}", vm.state_digest());
@@ -463,11 +375,11 @@ fn cmd_run(path: &str, flags: &Flags) {
                     "warm start: {} traces from daemon at {sock}",
                     snapshot.len()
                 );
-                AnyEngine::build(&program, config, Some(&snapshot), flags.fast)
+                TraceReuseEngine::new_warm(&program, config, &snapshot)
             }
             None => {
                 println!("cold start: daemon at {sock} has no state for this program");
-                AnyEngine::build(&program, config, None, flags.fast)
+                TraceReuseEngine::new(&program, config)
             }
         }
     } else if let Some(snap_path) = &flags.warm_rtm {
@@ -477,9 +389,9 @@ fn cmd_run(path: &str, flags: &Flags) {
             "warm start: {} traces imported from {snap_path}",
             snapshot.len()
         );
-        AnyEngine::build(&program, config, Some(&snapshot), flags.fast)
+        TraceReuseEngine::new_warm(&program, config, &snapshot)
     } else {
-        AnyEngine::build(&program, config, None, flags.fast)
+        TraceReuseEngine::new(&program, config)
     };
     engine.set_source_run(flags.seed);
     let started = std::time::Instant::now();
@@ -514,9 +426,8 @@ fn cmd_run(path: &str, flags: &Flags) {
         stats.avg_reused_trace_size()
     );
     println!(
-        "throughput: {:.1} M instr/s ({} engine)",
+        "throughput: {:.1} M instr/s",
         stats.total() as f64 / dt.as_secs_f64().max(1e-9) / 1e6,
-        engine.label()
     );
     println!(
         "RTM [{} {} {}]: {} lookups, {} hits, {} stores, {} evictions",
@@ -529,7 +440,7 @@ fn cmd_run(path: &str, flags: &Flags) {
         stats.rtm.evictions
     );
     if flags.digest {
-        println!("state digest: {:016x}", engine.state_digest());
+        println!("state digest: {:016x}", engine.vm().state_digest());
     }
 }
 

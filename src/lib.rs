@@ -71,8 +71,8 @@ pub mod prelude {
     pub use tlr_core::RtmSnapshot;
     pub use tlr_core::{
         ClassWeights, DecisionLog, EngineConfig, EngineStats, Heuristic, InstrReuseTable, IoCaps,
-        LimitConfig, LimitStudySink, ReplacementPolicy, ReuseTraceMemory, RtmConfig,
-        ThroughputEngine, TraceKey, TraceMeta, TraceReuseEngine, LFU_HALF_LIFE,
+        LimitConfig, LimitStudySink, ReplacementPolicy, ReuseTraceMemory, RtmConfig, TraceKey,
+        TraceMeta, TraceReuseEngine, LFU_HALF_LIFE,
     };
     pub use tlr_decant::{decant, Attribution, LoopDetector, LoopShape};
     pub use tlr_isa::{Alpha21164, ClassMix, CollectSink, DynInstr, Loc, NullSink, StreamSink};
@@ -82,7 +82,7 @@ pub mod prelude {
         Daemon, DaemonHandle, RefreshTicker, RegistryConfig, RemoteRegistry, SnapshotRegistry,
     };
     pub use tlr_timing::{analyze_base, TimingSim, Window};
-    pub use tlr_vm::{ExecMode, RunOutcome, Vm};
+    pub use tlr_vm::{RunOutcome, Vm};
 }
 
 #[cfg(test)]

@@ -267,3 +267,47 @@ fn every_fetch_request_counts_exactly_one_fetch() {
     handle.shutdown();
     server.join().unwrap().unwrap();
 }
+
+#[test]
+fn shape_resolved_fetch_counts_exactly_one_fetch() {
+    let (sock, handle, server) = start_daemon("shape-accounting");
+    // Two same-shape donors for an unknown client: fingerprint 3 made
+    // resident by a `Get`, fingerprint 4 only on disk.
+    let dir = sock.parent().unwrap();
+    for (fp, value) in [(3, 7), (4, 8)] {
+        let mut snap = snapshot_of(&[value]);
+        snap.shape = 77;
+        save_snapshot(&dir.join(format!("p{fp}.tlrsnap")), fp, &snap).unwrap();
+    }
+    let remote = RemoteRegistry::connect(&sock).unwrap();
+    remote.refresh().unwrap();
+    assert!(remote.get(3).unwrap().is_some());
+
+    // `(hits, misses, unknown, shape_hits)` one request moved.
+    let check = |kind: &str, fingerprint, expected| {
+        let before = remote.stats().unwrap();
+        assert!(
+            remote.get_by_shape(fingerprint, 77).unwrap().is_some(),
+            "{kind}: answer"
+        );
+        let after = remote.stats().unwrap();
+        let delta = (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.unknown - before.unknown,
+            after.shape_hits - before.shape_hits,
+        );
+        assert_eq!(
+            delta, expected,
+            "{kind}: (hits, misses, unknown, shape_hits)"
+        );
+    };
+    // Resolved through the donors: a miss plus a shape hit on the new
+    // entry, and nothing for the exact probe or the two donor reads.
+    check("GetShape shape-resolved", 500, (0, 1, 0, 1));
+    // The client's entry is now resident: one plain hit.
+    check("GetShape shape-resolved warm", 500, (1, 0, 0, 0));
+    drop(remote);
+    handle.shutdown();
+    server.join().unwrap().unwrap();
+}
