@@ -14,6 +14,10 @@
 //!    back, compare the bytes a full snapshot rewrite would put on disk
 //!    against what [`SnapshotRegistry::spill`] actually wrote as an
 //!    append-only delta segment (only the PC groups the run changed).
+//!    Both sides are encoded the way spills are (run-length compressed
+//!    frames, [`SnapshotWriteOptions::SPILL`]), so the comparison is
+//!    like for like; the uncompressed size of the full rewrite is
+//!    reported next to it, so compression's share shows on its own.
 //! 3. **Split-load equality** — for every workload × replacement
 //!    policy, the snapshot loaded from base + delta must equal the
 //!    snapshot loaded from one full file of the same resident state
@@ -21,8 +25,9 @@
 //!
 //! [`check_serveperf`] gates all three: cached fetches at least
 //! [`CACHED_SPEEDUP_FLOOR`]× faster than re-serialization on suite
-//! mean, suite-total delta bytes strictly below suite-total full
-//! rewrite bytes, and digest equality on every workload × policy cell.
+//! mean, suite-total delta bytes strictly below suite-total compressed
+//! full-rewrite bytes, and digest equality on every workload × policy
+//! cell.
 //!
 //! [`SnapshotRegistry::get_image`]: tlr_serve::SnapshotRegistry::get_image
 //! [`SnapshotRegistry::spill`]: tlr_serve::SnapshotRegistry::spill
@@ -33,8 +38,10 @@ use std::time::Instant;
 use tlr_core::{
     EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, TraceReuseEngine,
 };
-use tlr_persist::snapshot::write_snapshot;
-use tlr_persist::{load_merged_snapshots_tuned, program_fingerprint, save_snapshot};
+use tlr_persist::snapshot::{write_snapshot, write_snapshot_with};
+use tlr_persist::{
+    load_merged_snapshots_tuned, program_fingerprint, save_snapshot, SnapshotWriteOptions,
+};
 use tlr_serve::{RegistryConfig, SnapshotRegistry, SpillKind};
 use tlr_stats::Table;
 
@@ -92,8 +99,10 @@ pub struct ServePerfCell {
     /// Cached path: `get_image` hits after the build.
     pub cached: LatencyDist,
     /// Bytes a full snapshot rewrite of the post-publish resident state
-    /// would write.
+    /// would write, encoded the way spills are (compressed frames).
     pub full_rewrite_bytes: u64,
+    /// The same full rewrite with uncompressed frames.
+    pub full_raw_bytes: u64,
     /// Bytes the delta-segment spill of the same publish actually wrote.
     pub delta_bytes: u64,
     /// PC groups the delta carries.
@@ -256,9 +265,12 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
             .get(fingerprint)
             .unwrap_or_else(|e| panic!("{}: get: {e}", w.name))
             .expect("still resident");
-        let mut full = Vec::new();
-        write_snapshot(&mut full, fingerprint, &post)
-            .unwrap_or_else(|e| panic!("{}: serialize: {e}", w.name));
+        let encoded_len = |options| {
+            let mut bytes = Vec::new();
+            write_snapshot_with(&mut bytes, fingerprint, &post, options)
+                .unwrap_or_else(|e| panic!("{}: serialize: {e}", w.name));
+            bytes.len() as u64
+        };
 
         cells.push(ServePerfCell {
             name: w.name,
@@ -267,7 +279,8 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
             cold_build_us,
             reserialize: LatencyDist::from_samples(baseline_us),
             cached: LatencyDist::from_samples(cached_us),
-            full_rewrite_bytes: full.len() as u64,
+            full_rewrite_bytes: encoded_len(SnapshotWriteOptions::SPILL),
+            full_raw_bytes: encoded_len(SnapshotWriteOptions::default()),
             delta_bytes: delta.bytes_written,
             delta_groups: delta.delta_groups,
         });
@@ -404,40 +417,42 @@ pub fn serveperf_latency_table(cells: &[ServePerfCell]) -> Table {
 }
 
 /// Table: per-workload publish-back write amplification, full rewrite
-/// vs delta spill.
+/// vs delta spill, both compressed; the uncompressed full rewrite shows
+/// what compression alone saves.
 pub fn serveperf_write_table(cells: &[ServePerfCell]) -> Table {
     let mut table = Table::new(vec![
         "benchmark",
+        "full raw B",
         "full rewrite B",
         "delta B",
         "delta groups",
-        "bytes saved",
+        "delta saves",
     ]);
-    let (mut full_sum, mut delta_sum) = (0u64, 0u64);
+    let saved = |delta: u64, full: u64| {
+        format!("{:.1}%", 100.0 * (1.0 - delta as f64 / full.max(1) as f64))
+    };
+    let (mut raw_sum, mut full_sum, mut delta_sum) = (0u64, 0u64, 0u64);
     for cell in cells {
+        raw_sum += cell.full_raw_bytes;
         full_sum += cell.full_rewrite_bytes;
         delta_sum += cell.delta_bytes;
         table.row(vec![
             cell.name.to_string(),
+            cell.full_raw_bytes.to_string(),
             cell.full_rewrite_bytes.to_string(),
             cell.delta_bytes.to_string(),
             cell.delta_groups.to_string(),
-            format!(
-                "{:.0}%",
-                100.0 * (1.0 - cell.delta_bytes as f64 / cell.full_rewrite_bytes.max(1) as f64)
-            ),
+            saved(cell.delta_bytes, cell.full_rewrite_bytes),
         ]);
     }
     if !cells.is_empty() {
         table.row(vec![
             "total".to_string(),
+            raw_sum.to_string(),
             full_sum.to_string(),
             delta_sum.to_string(),
             String::new(),
-            format!(
-                "{:.0}%",
-                100.0 * (1.0 - delta_sum as f64 / full_sum.max(1) as f64)
-            ),
+            saved(delta_sum, full_sum),
         ]);
     }
     table
@@ -467,7 +482,8 @@ pub fn serveperf_equality_table(equality: &[ServePerfEquality]) -> Table {
 
 /// Regression gate: cached fetches ≥ [`CACHED_SPEEDUP_FLOOR`]× faster
 /// than re-serialization on suite mean, suite-total delta bytes below
-/// suite-total full-rewrite bytes, and split-load digest equality on
+/// suite-total compressed full-rewrite bytes, and split-load digest
+/// equality on
 /// every workload × policy cell.
 pub fn check_serveperf(outcome: &ServePerfOutcome) -> Result<(), String> {
     if outcome.cells.is_empty() {
@@ -486,7 +502,8 @@ pub fn check_serveperf(outcome: &ServePerfOutcome) -> Result<(), String> {
     let delta: u64 = outcome.cells.iter().map(|c| c.delta_bytes).sum();
     if delta >= full {
         return Err(format!(
-            "delta publish-back wrote {delta} B, not less than the {full} B a full rewrite costs"
+            "delta publish-back wrote {delta} B, not less than the {full} B a compressed \
+             full rewrite costs"
         ));
     }
     for cell in &outcome.equality {

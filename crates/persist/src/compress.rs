@@ -1,4 +1,5 @@
-//! Zero-run frame compression for v5 snapshot files.
+//! Zero-run frame compression for snapshot files
+//! ([`crate::format::FLAG_COMPRESSED_FRAMES`]; every spill sets it).
 //!
 //! Snapshot frames are dominated by little-endian integers whose high
 //! bytes are zero (PCs, counts, 64-bit values far below 2^64), so a

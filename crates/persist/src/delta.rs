@@ -1,7 +1,7 @@
 //! Incremental **delta segments**: publish-back without full rewrites.
 //!
-//! A delta segment is a v5 snapshot file with
-//! [`FLAG_DELTA_SEGMENT`] set. It
+//! A delta segment is a snapshot file with [`FLAG_DELTA_SEGMENT`]
+//! set. It
 //! carries the complete current contents of every *PC group* (records
 //! sharing `start_pc`) that changed since the previous spill, plus a
 //! tombstone list of PCs whose groups emptied. Applying a delta to a
@@ -18,7 +18,7 @@
 //! | sequence number | u64 |
 //! | tombstone count | u64 |
 //! | tombstones | count × u32 start PCs |
-//! | traces | count × v5 entry frames (record + meta + mix) |
+//! | traces | count × entry frames (record + meta + mix) |
 //! | trailer | u32 zero marker, u64 count, u64 checksum |
 //!
 //! The checksum covers the prelude, the tombstones, and every frame.
@@ -30,15 +30,13 @@
 //! *set* as the full snapshot the last spill saw — so folding them into
 //! a fresh base (`tlrsim compact`, or the registry once
 //! `compact_threshold` deltas accumulate) never changes served state.
+//! Both write that base through [`save_base`].
 
 use crate::error::{PersistError, Result};
-use crate::format::{
-    FileFormat, Header, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, KIND_RTM_SNAPSHOT,
-};
-use crate::json::{self, Json};
+use crate::format::{Header, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, KIND_RTM_SNAPSHOT};
 use crate::snapshot::{
-    decode_entry, emit_frame, next_frame, snapshot_from_json_core, snapshot_to_json,
-    validate_geometry, MAX_GEOMETRY_CAPACITY,
+    decode_entry, emit_frame, next_frame, save_snapshot_with, validate_geometry,
+    SnapshotWriteOptions, MAX_GEOMETRY_CAPACITY,
 };
 use crate::wire;
 use std::collections::BTreeMap;
@@ -201,26 +199,30 @@ pub fn delta_seq_from_path(path: &Path) -> Option<u64> {
     seq.parse().ok()
 }
 
-/// Save a delta segment to `path` (binary or JSON by extension).
+/// Save a delta segment to `path` (always binary, whatever the
+/// extension).
 pub fn save_delta_segment(
     path: &Path,
     fingerprint: u64,
     delta: &DeltaSegment,
     compress: bool,
 ) -> Result<()> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let mut out = BufWriter::new(File::create(path)?);
-            write_delta_segment(&mut out, fingerprint, delta, compress)?;
-            out.flush()?;
-            Ok(())
-        }
-        FileFormat::Json => {
-            let text = json::to_string_pretty(&delta_to_json(fingerprint, delta));
-            std::fs::write(path, text)?;
-            Ok(())
-        }
-    }
+    let mut out = BufWriter::new(File::create(path)?);
+    write_delta_segment(&mut out, fingerprint, delta, compress)?;
+    out.flush()?;
+    Ok(())
+}
+
+/// Write `snapshot` as the compacted base file at `path`, encoded the
+/// way every spill is ([`SnapshotWriteOptions::SPILL`]). The bytes go to
+/// a temp file next to `path` that is then renamed into place, so a
+/// concurrent reader or a crash mid-write never leaves a half-written
+/// base where loaders can see it. Returns the bytes written.
+pub fn save_base(path: &Path, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<u64> {
+    let tmp = path.with_extension("tmp");
+    save_snapshot_with(&tmp, fingerprint, snapshot, SnapshotWriteOptions::SPILL)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(std::fs::metadata(path)?.len())
 }
 
 /// Serialize a delta segment to any writer (binary format).
@@ -307,7 +309,7 @@ pub(crate) fn read_delta_body(r: &mut impl Read, header: &Header) -> Result<Delt
     let mut traces = Vec::with_capacity(declared.min(1 << 20) as usize);
     let mut meta = Vec::with_capacity(declared.min(1 << 20) as usize);
     while let Some(frame) = next_frame(r, compressed, &mut checksum)? {
-        let (trace, trace_meta) = decode_entry(&frame, header.version, traces.len())?;
+        let (trace, trace_meta) = decode_entry(&frame, traces.len())?;
         traces.push(trace);
         meta.push(trace_meta);
     }
@@ -331,65 +333,6 @@ pub(crate) fn read_delta_body(r: &mut impl Read, header: &Header) -> Result<Delt
         traces,
         meta,
     })
-}
-
-/// JSON debug encoding: the full-snapshot document plus a `"delta"`
-/// object carrying the sequence number and tombstones.
-pub fn delta_to_json(fingerprint: u64, delta: &DeltaSegment) -> Json {
-    let as_snapshot = RtmSnapshot {
-        config: delta.config,
-        traces: delta.traces.clone(),
-        meta: delta.meta.clone(),
-        shape: 0,
-    };
-    let Json::Obj(mut doc) = snapshot_to_json(fingerprint, &as_snapshot) else {
-        unreachable!("snapshot_to_json returns an object");
-    };
-    let mut meta = BTreeMap::new();
-    meta.insert("seq".into(), Json::Num(delta.seq));
-    meta.insert(
-        "tombstones".into(),
-        Json::Arr(
-            delta
-                .tombstones
-                .iter()
-                .map(|pc| Json::Num(u64::from(*pc)))
-                .collect(),
-        ),
-    );
-    doc.insert("delta".into(), Json::Obj(meta));
-    Json::Obj(doc)
-}
-
-/// Parse the JSON debug encoding produced by [`delta_to_json`].
-pub fn delta_from_json(
-    doc: &Json,
-    expected_fingerprint: Option<u64>,
-) -> Result<(u64, DeltaSegment)> {
-    let (fingerprint, snapshot) = snapshot_from_json_core(doc, expected_fingerprint)?;
-    let d = doc.field("delta")?;
-    let seq = d.field("seq")?.as_u64("delta.seq")?;
-    let lanes = d.field("tombstones")?.as_arr("delta.tombstones")?;
-    if lanes.len() as u64 > MAX_GEOMETRY_CAPACITY {
-        return Err(PersistError::Corrupt(format!(
-            "delta segment declares {} tombstones, over the {MAX_GEOMETRY_CAPACITY} cap",
-            lanes.len()
-        )));
-    }
-    let mut tombstones = Vec::with_capacity(lanes.len());
-    for pc in lanes {
-        tombstones.push(pc.as_u32("delta.tombstones")?);
-    }
-    Ok((
-        fingerprint,
-        DeltaSegment {
-            seq,
-            config: snapshot.config,
-            tombstones,
-            traces: snapshot.traces,
-            meta: snapshot.meta,
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -478,26 +421,6 @@ mod tests {
             let again = read_delta_body(&mut r, &header).unwrap();
             assert_eq!(again, delta, "compress={compress}");
         }
-    }
-
-    #[test]
-    fn json_roundtrip_with_tombstones() {
-        let delta = DeltaSegment {
-            seq: 9,
-            config: RtmConfig::RTM_512,
-            tombstones: vec![16, 32],
-            traces: vec![record(4, 7)],
-            meta: vec![TraceMeta {
-                hits: 3,
-                last_use: 11,
-                source_run: 2,
-            }],
-        };
-        let doc = delta_to_json(5, &delta);
-        let text = json::to_string_pretty(&doc);
-        let (fp, again) = delta_from_json(&json::parse(&text).unwrap(), Some(5)).unwrap();
-        assert_eq!(fp, 5);
-        assert_eq!(again, delta);
     }
 
     #[test]

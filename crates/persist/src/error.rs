@@ -9,20 +9,23 @@ use std::io;
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file does not start with the `TLRP` magic (or, for JSON, a
-    /// recognized `"format"` tag).
+    /// The file does not start with the `TLRP` magic.
     BadMagic {
         /// The bytes actually found.
         found: [u8; 4],
     },
-    /// The file's format version is not one this build reads.
+    /// The file's format version is not the one this build reads: it
+    /// reads exactly [`crate::format::FORMAT_VERSION`], older and newer
+    /// files alike are refused.
     UnsupportedVersion {
         /// Version stamped in the file header.
         found: u16,
-        /// Newest version this build writes and reads (it also reads
-        /// back to [`crate::format::MIN_SUPPORTED_VERSION`]).
+        /// The one version this build writes and reads.
         supported: u16,
     },
+    /// A loader was handed a `.json` path. JSON dumps are write-only
+    /// debug output; load the binary file instead.
+    JsonWriteOnly,
     /// The file holds a different payload kind than the caller asked for
     /// (e.g. opening an RTM snapshot as a trace stream).
     KindMismatch {
@@ -67,9 +70,14 @@ impl fmt::Display for PersistError {
             ),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported format version {found} (this build reads versions {}..={supported}); \
-                 re-record with a matching build",
-                super::format::MIN_SUPPORTED_VERSION
+                "unsupported format version {found} (this build reads exactly version \
+                 {supported}); re-record with a matching build"
+            ),
+            PersistError::JsonWriteOnly => write!(
+                f,
+                "JSON debug dumps are write-only; load the binary .{} / .{} file instead",
+                super::format::SNAPSHOT_EXT,
+                super::format::TRACE_EXT
             ),
             PersistError::KindMismatch { found, expected } => write!(
                 f,

@@ -5,13 +5,14 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0 | 4 | magic `"TLRP"` |
-//! | 4 | 2 | format version (currently 6) |
+//! | 4 | 2 | format version (exactly 6) |
 //! | 6 | 1 | payload kind (1 = trace stream, 2 = RTM snapshot) |
-//! | 7 | 1 | flags (v5+; must be 0 in v2–v4) |
+//! | 7 | 1 | flags ([`KNOWN_FLAGS`]) |
 //! | 8 | 8 | program/ISA fingerprint |
 //!
-//! The JSON debug format carries the same information in a `"format"`
-//! tag (`"tlr-trace-v1"` / `"tlr-rtm-v1"`) and a `"fingerprint"` field.
+//! The write-only JSON debug dumps carry the same information in a
+//! `"format"` tag (`"tlr-trace-v1"` / `"tlr-rtm-v1"`) and a
+//! `"fingerprint"` field; no loader reads them back.
 
 use crate::error::{PersistError, Result};
 use crate::wire;
@@ -21,43 +22,33 @@ use std::path::Path;
 /// File magic for the binary formats.
 pub const MAGIC: [u8; 4] = *b"TLRP";
 
-/// The format version this build writes.
+/// The format version this build writes, and the only one it reads.
 ///
 /// History: v1 checksummed trace frames only; v2 extended the snapshot
-/// checksum to cover the geometry prelude, so v1 snapshots would fail
-/// the trailer comparison — the bump makes them fail with a version
-/// error instead of a misleading "damaged file" one; v3 appends
-/// per-trace provenance ([`tlr_core::TraceMeta`]: hit count, last-use
-/// tick, source-run id) to every snapshot record; v4 appends each
-/// trace's per-class instruction mix ([`tlr_isa::ClassMix`]) after the
-/// provenance, for reuse attribution; v5 turns the reserved header
-/// byte into a flags field ([`FLAG_COMPRESSED_FRAMES`],
-/// [`FLAG_DELTA_SEGMENT`]) and extends the snapshot prelude when the
-/// delta flag is set; v6 appends the producing program's *shape
-/// fingerprint* ([`wire::program_shape_fingerprint`]) to the full
-/// snapshot prelude, so data-varied runs of the same code can find and
-/// share each other's warm state (value-validated at reuse time).
-/// v2–v5 files still load (their traces carry zero provenance and/or
-/// an empty mix, pre-v5 flags must be 0, and pre-v6 snapshots read as
-/// value-pinned: shape 0); see [`MIN_SUPPORTED_VERSION`].
+/// checksum to cover the geometry prelude; v3 appended per-trace
+/// provenance ([`tlr_core::TraceMeta`]) to every snapshot frame; v4
+/// appended each trace's per-class instruction mix
+/// ([`tlr_isa::ClassMix`]); v5 turned the reserved header byte into a
+/// flags field ([`FLAG_COMPRESSED_FRAMES`], [`FLAG_DELTA_SEGMENT`]); v6
+/// appended the producing program's *shape fingerprint*
+/// ([`wire::program_shape_fingerprint`]) to the full snapshot prelude.
+/// Files of any other version are rejected by name
+/// ([`PersistError::UnsupportedVersion`]).
 pub const FORMAT_VERSION: u16 = 6;
 
-/// The oldest format version this build still reads.
-pub const MIN_SUPPORTED_VERSION: u16 = 2;
-
-/// Header flag (v5+): trace frames are run-length compressed. Each
+/// Header flag: trace frames are run-length compressed. Each
 /// frame payload is `u32` raw length followed by the codec stream of
 /// [`crate::compress`]; the frame checksum covers the on-disk bytes.
 pub const FLAG_COMPRESSED_FRAMES: u8 = 0x01;
 
-/// Header flag (v5+): the file is an append-only *delta segment*, not
+/// Header flag: the file is an append-only *delta segment*, not
 /// a full snapshot. Its prelude carries a sequence number and a
 /// tombstone list, and its frames replace whole PC groups of a base
 /// snapshot (see `docs/ARCHITECTURE.md`, "Snapshot file format").
 pub const FLAG_DELTA_SEGMENT: u8 = 0x02;
 
-/// Every flag bit this build understands. v5 headers with unknown
-/// bits set are rejected as corrupt rather than misparsed.
+/// Every flag bit this build understands. Headers with unknown bits
+/// set are rejected as corrupt rather than misparsed.
 pub const KNOWN_FLAGS: u8 = FLAG_COMPRESSED_FRAMES | FLAG_DELTA_SEGMENT;
 
 /// Payload kind: a stream of executed [`tlr_isa::DynInstr`] records.
@@ -86,7 +77,7 @@ pub const SNAPSHOT_EXT: &str = "tlrsnap";
 pub enum FileFormat {
     /// Length-prefixed binary with the `TLRP` header (the default).
     Binary,
-    /// Pretty-printed JSON for debugging and diffing.
+    /// Pretty-printed JSON for debugging and diffing (write-only).
     Json,
 }
 
@@ -101,6 +92,15 @@ impl FileFormat {
     }
 }
 
+/// Refuse a `.json` path at a load entry point: JSON dumps are
+/// write-only ([`PersistError::JsonWriteOnly`]).
+pub(crate) fn reject_json(path: &Path) -> Result<()> {
+    match FileFormat::detect(path) {
+        FileFormat::Binary => Ok(()),
+        FileFormat::Json => Err(PersistError::JsonWriteOnly),
+    }
+}
+
 /// The checked binary header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Header {
@@ -108,7 +108,7 @@ pub struct Header {
     pub version: u16,
     /// Payload kind tag.
     pub kind: u8,
-    /// Encoding flags (see [`KNOWN_FLAGS`]); always 0 before v5.
+    /// Encoding flags (see [`KNOWN_FLAGS`]).
     pub flags: u8,
     /// Program/ISA fingerprint (see [`wire::program_fingerprint`]).
     pub fingerprint: u64,
@@ -143,7 +143,8 @@ impl Header {
         Ok(())
     }
 
-    /// Parse and validate a header: magic and version are checked here;
+    /// Parse and validate a header: magic, version (exactly
+    /// [`FORMAT_VERSION`]) and flags are checked here;
     /// kind and fingerprint are checked against the caller's expectation
     /// with [`Header::expect`].
     pub fn read_from(r: &mut impl Read) -> Result<Header> {
@@ -152,7 +153,7 @@ impl Header {
             return Err(PersistError::BadMagic { found: magic });
         }
         let version = wire::get_u16(r)?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -160,11 +161,6 @@ impl Header {
         }
         let kind = wire::get_u8(r)?;
         let flags = wire::get_u8(r)?;
-        if version < 5 && flags != 0 {
-            return Err(PersistError::Corrupt(format!(
-                "reserved header byte is {flags}, expected 0"
-            )));
-        }
         if flags & !KNOWN_FLAGS != 0 {
             return Err(PersistError::Corrupt(format!(
                 "unknown header flags {:#04x} (known mask {:#04x})",
@@ -270,19 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_must_be_zero_before_v5() {
-        let mut buf = Vec::new();
-        Header::with_flags(KIND_RTM_SNAPSHOT, 9, FLAG_DELTA_SEGMENT)
-            .write_to(&mut buf)
-            .unwrap();
-        buf[4] = 4; // rewrite version to v4; the flag byte is now illegal
-        match Header::read_from(&mut buf.as_slice()) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("reserved header byte")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn kind_and_fingerprint_checked() {
         let h = Header::new(KIND_TRACE_STREAM, 7);
         assert!(h.expect(KIND_TRACE_STREAM, Some(7)).is_ok());
@@ -298,7 +281,7 @@ mod tests {
     }
 
     /// The normative format section of `docs/ARCHITECTURE.md` must
-    /// stay in sync with the code: the version pair, every flag bit,
+    /// stay in sync with the code: the one version read, every flag bit,
     /// the known mask, and the base/delta file-naming scheme are
     /// checked against the document verbatim.
     #[test]
@@ -309,7 +292,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         let expect = [
             format!("current format version is **{FORMAT_VERSION}**"),
-            format!("oldest\nloadable is **{MIN_SUPPORTED_VERSION}**"),
+            format!("reads exactly version **{FORMAT_VERSION}**"),
             format!("| `{FLAG_COMPRESSED_FRAMES:#04x}` | `FLAG_COMPRESSED_FRAMES`"),
             format!("| `{FLAG_DELTA_SEGMENT:#04x}` | `FLAG_DELTA_SEGMENT`"),
             format!("known mask is `{KNOWN_FLAGS:#04x}`"),

@@ -1,7 +1,9 @@
-//! A miniature JSON reader/writer for the debug formats.
+//! A miniature JSON reader/writer.
 //!
-//! The workspace builds offline (no serde), and the JSON files are
-//! written and read only by this crate, so the dialect is deliberately
+//! The workspace builds offline (no serde). This crate writes its
+//! debug dumps with it (write-only: no loader reads them back), and the
+//! golden-corpus manifest is written and read with it, so the dialect
+//! is deliberately
 //! narrow: objects, arrays, strings (no escapes beyond `\"`, `\\`, `\n`,
 //! `\t`, `\r`, `\/`, `\b`, `\f`, `\uXXXX` for ASCII), unsigned decimal
 //! integers up to `u64::MAX`, `true`/`false`/`null`. Floats and negative
@@ -39,22 +41,6 @@ impl Json {
         }
     }
 
-    /// The value as `u32`, rejecting out-of-range numbers instead of
-    /// truncating them.
-    pub fn as_u32(&self, what: &str) -> Result<u32> {
-        let n = self.as_u64(what)?;
-        u32::try_from(n)
-            .map_err(|_| PersistError::Corrupt(format!("\"{what}\": {n} does not fit in u32")))
-    }
-
-    /// The value as `u8`, rejecting out-of-range numbers instead of
-    /// truncating them.
-    pub fn as_u8(&self, what: &str) -> Result<u8> {
-        let n = self.as_u64(what)?;
-        u8::try_from(n)
-            .map_err(|_| PersistError::Corrupt(format!("\"{what}\": {n} does not fit in u8")))
-    }
-
     /// The value as `&str`, or a corruption error naming `what`.
     pub fn as_str(&self, what: &str) -> Result<&str> {
         match self {
@@ -78,16 +64,6 @@ impl Json {
                 .get(key)
                 .ok_or_else(|| PersistError::Corrupt(format!("missing field \"{key}\""))),
             other => Err(type_err(key, "object", other)),
-        }
-    }
-
-    /// Fetch an optional object field: `None` when the key is absent or
-    /// `self` is not an object (format-evolution fields, e.g. per-trace
-    /// provenance, which older files legitimately lack).
-    pub fn opt_field<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
         }
     }
 }
@@ -506,15 +482,6 @@ mod tests {
         assert!(parse(&ok).is_ok());
         let too_deep = format!("{}1{}", "[".repeat(129), "]".repeat(129));
         assert!(parse(&too_deep).is_err());
-    }
-
-    #[test]
-    fn narrowing_accessors_reject_out_of_range() {
-        let v = parse("{\"a\": 4294967297, \"b\": 256, \"c\": 7}").unwrap();
-        assert!(v.field("a").unwrap().as_u32("a").is_err());
-        assert!(v.field("b").unwrap().as_u8("b").is_err());
-        assert_eq!(v.field("c").unwrap().as_u32("c").unwrap(), 7);
-        assert_eq!(v.field("c").unwrap().as_u8("c").unwrap(), 7);
     }
 
     #[test]

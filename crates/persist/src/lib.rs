@@ -19,32 +19,34 @@
 //!
 //! ## Formats
 //!
-//! Two encodings, auto-detected by extension ([`FileFormat::detect`]):
-//! a versioned length-prefixed **binary** format (conventionally
-//! `.tlrtrace` for streams, `.tlrsnap` for snapshots), and a pretty
-//! **JSON** debug format (`.json`) for inspection and diffing. Binary
-//! layout:
+//! One format is read: a versioned, length-prefixed **binary** format
+//! (conventionally `.tlrtrace` for streams, `.tlrsnap` for snapshots)
+//! at exactly [`FORMAT_VERSION`] 6. A `.json` path ([`FileFormat::detect`])
+//! saves a pretty-printed **JSON** debug dump for inspection and
+//! diffing; dumps are write-only, and every load entry point refuses a
+//! `.json` path with [`PersistError::JsonWriteOnly`]. Binary layout:
 //!
 //! | section | contents |
 //! |---|---|
-//! | header (16 B) | magic `TLRP`, version u16, kind u8, flags u8 (v5+; 0 before), fingerprint u64 |
+//! | header (16 B) | magic `TLRP`, version u16, kind u8, flags u8, fingerprint u64 |
 //! | trace stream | per record: u32 length + [`tlr_isa::DynInstr`] frame |
-//! | RTM snapshot | geometry (3 × u32), count u64, then per trace: u32 length + [`tlr_core::TraceRecord`] frame |
+//! | RTM snapshot | geometry (3 × u32), count u64, shape u64, then per trace: u32 length + [`tlr_core::TraceRecord`] + provenance + class-mix frame |
 //! | delta segment | geometry, count, seq, tombstones, then changed-group frames ([`delta`]) |
 //! | trailer | u32 `0`, u64 count, u64 checksum (+ u8 halt flag for streams) |
 //!
-//! The header is checked on every load: wrong magic, an unsupported
-//! version, the wrong payload kind, or a fingerprint from a different
-//! program/ISA each produce a distinct, descriptive [`PersistError`].
-//! Frame checksums catch bit-level damage; a missing trailer reports the
-//! stream as truncated.
+//! The header is checked on every load: wrong magic, any version but
+//! [`FORMAT_VERSION`], the wrong payload kind, or a fingerprint from a
+//! different program/ISA each produce a distinct, descriptive
+//! [`PersistError`]. Frame checksums catch bit-level damage; a missing
+//! trailer reports the stream as truncated.
 //!
-//! Format v5 turns the reserved header byte into flags:
+//! Two header flags change the encoding:
 //! [`format::FLAG_COMPRESSED_FRAMES`] run-length compresses every trace
-//! frame ([`compress`]), and [`format::FLAG_DELTA_SEGMENT`] marks an
-//! incremental **delta segment** so publish-back spills only changed PC
-//! groups next to a base file ([`delta`]); [`load_merged_snapshots`]
-//! replays base + deltas in sequence order.
+//! frame ([`compress`]; spills always set it), and
+//! [`format::FLAG_DELTA_SEGMENT`] marks an incremental **delta
+//! segment** so publish-back spills only changed PC groups next to a
+//! base file ([`delta`]); [`load_merged_snapshots`] replays base +
+//! deltas in sequence order.
 //!
 //! ## Quick start
 //!
@@ -87,13 +89,12 @@ pub mod wire;
 
 pub use delta::{
     apply_delta, base_file_name, delta_file_name, delta_seq_from_path, diff_snapshots,
-    group_digests, save_delta_segment, write_delta_segment, DeltaSegment,
+    group_digests, save_base, save_delta_segment, write_delta_segment, DeltaSegment,
 };
 pub use error::{PersistError, Result};
 pub use format::{
     FileFormat, Header, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, FORMAT_VERSION,
-    KIND_RTM_SNAPSHOT, KIND_TRACE_STREAM, KNOWN_FLAGS, MAGIC, MIN_SUPPORTED_VERSION, SNAPSHOT_EXT,
-    TRACE_EXT,
+    KIND_RTM_SNAPSHOT, KIND_TRACE_STREAM, KNOWN_FLAGS, MAGIC, SNAPSHOT_EXT, TRACE_EXT,
 };
 pub use replay::{replay, MemorySource, RecordSource, ReplayStats};
 pub use snapshot::{

@@ -6,29 +6,30 @@
 //! |---|---|
 //! | geometry: sets, ways, per-PC | 3 × u32 |
 //! | trace count | u64 |
-//! | traces | count × length-prefixed frames: [`tlr_core::TraceRecord`] + (v3) [`tlr_core::TraceMeta`] + (v4) [`tlr_isa::ClassMix`] |
+//! | shape fingerprint (0 = value-pinned) | u64 |
+//! | traces | count × length-prefixed frames: [`tlr_core::TraceRecord`] + [`tlr_core::TraceMeta`] + [`tlr_isa::ClassMix`] |
 //! | trailer | u32 zero marker, u64 count, u64 checksum |
 //!
-//! Format v3 appends the 24-byte per-trace provenance
-//! ([`tlr_core::TraceMeta`]: hits, last-use tick, source-run id) inside
-//! each trace's frame, covered by the frame checksum; v4 additionally
-//! appends the trace's per-class instruction mix. v2/v3 files still
-//! load; their traces carry zero provenance and/or an empty mix.
+//! Every frame carries the record, its 24-byte provenance (hits,
+//! last-use tick, source-run id) and its per-class instruction mix,
+//! all covered by the frame checksum. Two header flags change the
+//! encoding: [`FLAG_COMPRESSED_FRAMES`] (each frame payload becomes
+//! `u32` raw length + the [`crate::compress`] stream) and
+//! [`FLAG_DELTA_SEGMENT`] (the file is an incremental *delta segment*,
+//! see [`crate::delta`]). Binary loads read the whole file into memory
+//! up front and parse from the buffer — one syscall per file on the
+//! serving path instead of `BufReader` chatter.
 //!
-//! Format v5 adds two header flags: [`FLAG_COMPRESSED_FRAMES`] (each
-//! frame payload becomes `u32` raw length + the [`crate::compress`]
-//! stream) and [`FLAG_DELTA_SEGMENT`] (the file is an incremental
-//! *delta segment*, see [`crate::delta`]). Binary loads read the whole
-//! file into memory up front and parse from the buffer — one syscall
-//! per file on the serving path instead of `BufReader` chatter.
+//! A `.json` path saves a write-only debug dump of the same content;
+//! every load entry point refuses it with
+//! [`PersistError::JsonWriteOnly`].
 
 use crate::compress;
 use crate::error::{PersistError, Result};
 use crate::format::{
-    FileFormat, Header, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, KIND_RTM_SNAPSHOT,
+    reject_json, FileFormat, Header, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, KIND_RTM_SNAPSHOT,
 };
 use crate::json::{self, Json};
-use crate::stream::json_pairs;
 use crate::wire;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -40,7 +41,7 @@ use tlr_core::{
 };
 use tlr_util::fxhash::FxHasher64;
 
-/// JSON format tag for RTM snapshots.
+/// JSON format tag of the RTM snapshot debug dump.
 pub const JSON_SNAPSHOT_FORMAT: &str = "tlr-rtm-v1";
 
 /// Largest RTM geometry a snapshot may declare, per dimension. A factor
@@ -76,7 +77,14 @@ pub struct SnapshotWriteOptions {
     pub compress: bool,
 }
 
-/// Save `snapshot` to `path`, choosing binary or JSON by extension.
+impl SnapshotWriteOptions {
+    /// How spilled files are encoded: delta segments and compacted
+    /// bases (see [`crate::delta::save_base`]) always compress.
+    pub const SPILL: SnapshotWriteOptions = SnapshotWriteOptions { compress: true };
+}
+
+/// Save `snapshot` to `path`, choosing binary or the write-only JSON
+/// debug dump by extension.
 pub fn save_snapshot(path: &Path, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<()> {
     save_snapshot_with(path, fingerprint, snapshot, SnapshotWriteOptions::default())
 }
@@ -103,7 +111,7 @@ pub fn save_snapshot_with(
     }
 }
 
-/// Load a snapshot from `path` (format by extension), optionally pinning
+/// Load a binary snapshot from `path`, optionally pinning
 /// the expected program fingerprint. Returns the file's fingerprint and
 /// the snapshot. Delta segments are rejected with a named error — load
 /// them through [`load_merged_snapshots`] next to their base.
@@ -122,42 +130,29 @@ pub fn load_snapshot(path: &Path, expected_fingerprint: Option<u64>) -> Result<(
 /// segment that overlays one (see [`crate::delta`]).
 #[derive(Clone, Debug)]
 pub enum SnapshotPayload {
-    /// A complete snapshot (formats v2–v5 without the delta flag).
+    /// A complete snapshot (no delta flag).
     Full(RtmSnapshot),
-    /// A v5 delta segment ([`FLAG_DELTA_SEGMENT`]).
+    /// A delta segment ([`FLAG_DELTA_SEGMENT`]).
     Delta(crate::delta::DeltaSegment),
 }
 
-/// Load either payload kind from `path` (format by extension). Binary
-/// files are read whole into memory and parsed from the buffer.
+/// Load either payload kind from a binary snapshot file. The file is
+/// read whole into memory and parsed from the buffer.
 pub fn load_snapshot_payload(
     path: &Path,
     expected_fingerprint: Option<u64>,
 ) -> Result<(u64, SnapshotPayload)> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let bytes = std::fs::read(path)?;
-            let mut r = bytes.as_slice();
-            let header = Header::read_from(&mut r)?;
-            header.expect(KIND_RTM_SNAPSHOT, expected_fingerprint)?;
-            if header.flags & FLAG_DELTA_SEGMENT != 0 {
-                let delta = crate::delta::read_delta_body(&mut r, &header)?;
-                Ok((header.fingerprint, SnapshotPayload::Delta(delta)))
-            } else {
-                let snapshot = read_snapshot_body(&mut r, &header)?;
-                Ok((header.fingerprint, SnapshotPayload::Full(snapshot)))
-            }
-        }
-        FileFormat::Json => {
-            let doc = json::parse(&std::fs::read_to_string(path)?)?;
-            if doc.opt_field("delta").is_some() {
-                let (fp, delta) = crate::delta::delta_from_json(&doc, expected_fingerprint)?;
-                Ok((fp, SnapshotPayload::Delta(delta)))
-            } else {
-                let (fp, snapshot) = snapshot_from_json(&doc, expected_fingerprint)?;
-                Ok((fp, SnapshotPayload::Full(snapshot)))
-            }
-        }
+    reject_json(path)?;
+    let bytes = std::fs::read(path)?;
+    let mut r = bytes.as_slice();
+    let header = Header::read_from(&mut r)?;
+    header.expect(KIND_RTM_SNAPSHOT, expected_fingerprint)?;
+    if header.flags & FLAG_DELTA_SEGMENT != 0 {
+        let delta = crate::delta::read_delta_body(&mut r, &header)?;
+        Ok((header.fingerprint, SnapshotPayload::Delta(delta)))
+    } else {
+        let snapshot = read_snapshot_body(&mut r, &header)?;
+        Ok((header.fingerprint, SnapshotPayload::Full(snapshot)))
     }
 }
 
@@ -241,70 +236,31 @@ pub fn load_merged_snapshots_tuned(
 
 /// Read only a snapshot file's program fingerprint, without
 /// deserializing any traces. A registry indexing a directory of
-/// snapshots uses this to map fingerprint → path cheaply; binary files
-/// cost one 16-byte header read, JSON files one parse.
+/// snapshots uses this to map fingerprint → path cheaply: one 16-byte
+/// header read.
 pub fn peek_snapshot_fingerprint(path: &Path) -> Result<u64> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let mut r = BufReader::new(File::open(path)?);
-            let header = Header::read_from(&mut r)?;
-            header.expect(KIND_RTM_SNAPSHOT, None)?;
-            Ok(header.fingerprint)
-        }
-        FileFormat::Json => {
-            let doc = json::parse(&std::fs::read_to_string(path)?)?;
-            let format = doc.field("format")?.as_str("format")?;
-            if format != JSON_SNAPSHOT_FORMAT {
-                return Err(PersistError::Corrupt(format!(
-                    "\"format\" is {format:?}, expected {JSON_SNAPSHOT_FORMAT:?}"
-                )));
-            }
-            doc.field("fingerprint")?.as_u64("fingerprint")
-        }
-    }
+    reject_json(path)?;
+    let mut r = BufReader::new(File::open(path)?);
+    let header = Header::read_from(&mut r)?;
+    header.expect(KIND_RTM_SNAPSHOT, None)?;
+    Ok(header.fingerprint)
 }
 
 /// Read a snapshot file's program fingerprint *and* shape fingerprint
-/// without deserializing any traces. The shape is 0 (value-pinned) for
-/// pre-v6 files, delta segments, and JSON dumps without a `"shape"`
-/// field. Binary files cost one header + prelude read; JSON files one
-/// parse.
+/// without deserializing any traces: one header + prelude read. The
+/// shape is 0 (value-pinned) for delta segments, which carry none.
 pub fn peek_snapshot_identity(path: &Path) -> Result<(u64, u64)> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let mut r = BufReader::new(File::open(path)?);
-            let header = Header::read_from(&mut r)?;
-            header.expect(KIND_RTM_SNAPSHOT, None)?;
-            if header.version < 6 || header.flags & FLAG_DELTA_SEGMENT != 0 {
-                return Ok((header.fingerprint, 0));
-            }
-            // Full v6 prelude: geometry (12 B) + count (8 B) + shape.
-            let mut prelude = [0u8; 28];
-            r.read_exact(&mut prelude)?;
-            let mut cursor = &prelude[20..];
-            let shape = wire::get_u64(&mut cursor)?;
-            Ok((header.fingerprint, shape))
-        }
-        FileFormat::Json => {
-            let doc = json::parse(&std::fs::read_to_string(path)?)?;
-            let format = doc.field("format")?.as_str("format")?;
-            if format != JSON_SNAPSHOT_FORMAT {
-                return Err(PersistError::Corrupt(format!(
-                    "\"format\" is {format:?}, expected {JSON_SNAPSHOT_FORMAT:?}"
-                )));
-            }
-            let fingerprint = doc.field("fingerprint")?.as_u64("fingerprint")?;
-            let shape = if doc.opt_field("delta").is_some() {
-                0
-            } else {
-                match doc.opt_field("shape") {
-                    Some(s) => s.as_u64("shape")?,
-                    None => 0,
-                }
-            };
-            Ok((fingerprint, shape))
-        }
+    reject_json(path)?;
+    let mut r = BufReader::new(File::open(path)?);
+    let header = Header::read_from(&mut r)?;
+    header.expect(KIND_RTM_SNAPSHOT, None)?;
+    if header.flags & FLAG_DELTA_SEGMENT != 0 {
+        return Ok((header.fingerprint, 0));
     }
+    // Full prelude: geometry (12 B) + count (8 B) + shape.
+    let prelude: [u8; 28] = wire::read_exact(&mut r)?;
+    let shape = wire::get_u64(&mut &prelude[20..])?;
+    Ok((header.fingerprint, shape))
 }
 
 /// Serialize a snapshot to any writer (binary format, uncompressed).
@@ -331,7 +287,7 @@ pub fn write_snapshot_with(
     wire::put_u32(&mut prelude, geometry.ways);
     wire::put_u32(&mut prelude, geometry.per_pc);
     wire::put_u64(&mut prelude, snapshot.traces.len() as u64);
-    // v6: the producing program's shape fingerprint (0 = value-pinned),
+    // The producing program's shape fingerprint (0 = value-pinned),
     // covered by the checksum like the rest of the prelude.
     wire::put_u64(&mut prelude, snapshot.shape);
     w.write_all(&prelude)?;
@@ -400,38 +356,24 @@ pub(crate) fn next_frame(
     Ok(Some(compress::decompress(slice, raw_len as usize)?))
 }
 
-/// Decode one entry frame's payload into record + provenance, with the
-/// per-version field layout and the loader's named corruption errors.
-pub(crate) fn decode_entry(
-    frame: &[u8],
-    version: u16,
-    index: usize,
-) -> Result<(TraceRecord, TraceMeta)> {
-    // v2 frames hold the bare record; v3 frames append provenance; v4+
-    // frames append the class mix after the provenance.
-    let with_provenance = version >= 3;
-    let with_mix = version >= 4;
+/// Decode one entry frame's payload — record, provenance, class mix —
+/// with the loader's named corruption errors.
+pub(crate) fn decode_entry(frame: &[u8], index: usize) -> Result<(TraceRecord, TraceMeta)> {
     let mut slice = frame;
     let mut trace = wire::get_trace_record(&mut slice)?;
-    let trace_meta = if with_provenance {
-        wire::get_trace_meta(&mut slice).map_err(|_| {
-            PersistError::Corrupt(format!(
-                "trace {index} (pc={:#x}) is missing its provenance record",
-                trace.start_pc
-            ))
-        })?
-    } else {
-        TraceMeta::default()
-    };
-    if with_mix {
-        trace.mix = wire::get_class_mix(&mut slice).map_err(|e| match e {
-            corrupt @ PersistError::Corrupt(_) => corrupt,
-            _ => PersistError::Corrupt(format!(
-                "trace {index} (pc={:#x}) is missing its class mix",
-                trace.start_pc
-            )),
-        })?;
-    }
+    let trace_meta = wire::get_trace_meta(&mut slice).map_err(|_| {
+        PersistError::Corrupt(format!(
+            "trace {index} (pc={:#x}) is missing its provenance record",
+            trace.start_pc
+        ))
+    })?;
+    trace.mix = wire::get_class_mix(&mut slice).map_err(|e| match e {
+        corrupt @ PersistError::Corrupt(_) => corrupt,
+        _ => PersistError::Corrupt(format!(
+            "trace {index} (pc={:#x}) is missing its class mix",
+            trace.start_pc
+        )),
+    })?;
     if !slice.is_empty() {
         return Err(PersistError::Corrupt(format!(
             "{} stray bytes after trace {index}",
@@ -464,16 +406,8 @@ pub fn read_snapshot(
 /// Parse a full snapshot's body, the header already consumed.
 pub(crate) fn read_snapshot_body(r: &mut impl Read, header: &Header) -> Result<RtmSnapshot> {
     let compressed = header.flags & FLAG_COMPRESSED_FRAMES != 0;
-    // v2–v5 preludes are 20 bytes; v6 appends the shape fingerprint.
-    let mut prelude = [0u8; 28];
-    let prelude = if header.version >= 6 {
-        r.read_exact(&mut prelude)?;
-        &prelude[..]
-    } else {
-        r.read_exact(&mut prelude[..20])?;
-        &prelude[..20]
-    };
-    let mut cursor = prelude;
+    let prelude: [u8; 28] = wire::read_exact(r)?;
+    let mut cursor = prelude.as_slice();
     let geometry = SetAssocGeometry {
         sets: wire::get_u32(&mut cursor)?,
         ways: wire::get_u32(&mut cursor)?,
@@ -481,18 +415,13 @@ pub(crate) fn read_snapshot_body(r: &mut impl Read, header: &Header) -> Result<R
     };
     validate_geometry(&geometry)?;
     let declared = wire::get_u64(&mut cursor)?;
-    // Pre-v6 snapshots load as value-pinned.
-    let shape = if header.version >= 6 {
-        wire::get_u64(&mut cursor)?
-    } else {
-        0
-    };
+    let shape = wire::get_u64(&mut cursor)?;
     let mut checksum = FxHasher64::new();
-    checksum.write(prelude);
+    checksum.write(&prelude);
     let mut traces = Vec::with_capacity(declared.min(1 << 20) as usize);
     let mut meta = Vec::with_capacity(declared.min(1 << 20) as usize);
     while let Some(frame) = next_frame(r, compressed, &mut checksum)? {
-        let (trace, trace_meta) = decode_entry(&frame, header.version, traces.len())?;
+        let (trace, trace_meta) = decode_entry(&frame, traces.len())?;
         traces.push(trace);
         meta.push(trace_meta);
     }
@@ -580,7 +509,7 @@ pub(crate) fn validate_record(index: usize, rec: &TraceRecord) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn snapshot_to_json(fingerprint: u64, snapshot: &RtmSnapshot) -> Json {
+fn snapshot_to_json(fingerprint: u64, snapshot: &RtmSnapshot) -> Json {
     let geometry = snapshot.config.geometry;
     let mut geom = BTreeMap::new();
     geom.insert("sets".into(), Json::Num(geometry.sets as u64));
@@ -632,107 +561,6 @@ pub(crate) fn snapshot_to_json(fingerprint: u64, snapshot: &RtmSnapshot) -> Json
     doc.insert("shape".into(), Json::Num(snapshot.shape));
     doc.insert("traces".into(), Json::Arr(traces));
     Json::Obj(doc)
-}
-
-fn snapshot_from_json(doc: &Json, expected_fingerprint: Option<u64>) -> Result<(u64, RtmSnapshot)> {
-    if doc.opt_field("delta").is_some() {
-        return Err(PersistError::Corrupt(
-            "JSON document holds a delta segment, not a full snapshot; \
-             load it with its base via load_merged_snapshots"
-                .into(),
-        ));
-    }
-    snapshot_from_json_core(doc, expected_fingerprint)
-}
-
-/// JSON snapshot parsing shared by full snapshots and delta segments
-/// (which reuse the geometry/trace layout and add a `"delta"` object).
-pub(crate) fn snapshot_from_json_core(
-    doc: &Json,
-    expected_fingerprint: Option<u64>,
-) -> Result<(u64, RtmSnapshot)> {
-    let format = doc.field("format")?.as_str("format")?;
-    if format != JSON_SNAPSHOT_FORMAT {
-        return Err(PersistError::Corrupt(format!(
-            "\"format\" is {format:?}, expected {JSON_SNAPSHOT_FORMAT:?}"
-        )));
-    }
-    let fingerprint = doc.field("fingerprint")?.as_u64("fingerprint")?;
-    if let Some(expected) = expected_fingerprint {
-        if fingerprint != expected {
-            return Err(PersistError::FingerprintMismatch {
-                found: fingerprint,
-                expected,
-            });
-        }
-    }
-    let geom = doc.field("geometry")?;
-    let geometry = SetAssocGeometry {
-        sets: geom.field("sets")?.as_u32("sets")?,
-        ways: geom.field("ways")?.as_u32("ways")?,
-        per_pc: geom.field("per_pc")?.as_u32("per_pc")?,
-    };
-    validate_geometry(&geometry)?;
-    // The shape fingerprint arrived with format v6; older JSON dumps
-    // lack the field and load as value-pinned.
-    let shape = match doc.opt_field("shape") {
-        Some(s) => s.as_u64("shape")?,
-        None => 0,
-    };
-    let mut traces = Vec::new();
-    let mut meta = Vec::new();
-    for (index, t) in doc.field("traces")?.as_arr("traces")?.iter().enumerate() {
-        // The class mix arrived with format v4; older JSON dumps lack
-        // the field and load as an empty (unattributed) mix.
-        let mix = match t.opt_field("mix") {
-            Some(m) => {
-                let lanes = m.as_arr("mix")?;
-                if lanes.len() != tlr_isa::OpClass::COUNT {
-                    return Err(PersistError::Corrupt(format!(
-                        "trace {index}: \"mix\" holds {} class counts; this ISA has {}",
-                        lanes.len(),
-                        tlr_isa::OpClass::COUNT
-                    )));
-                }
-                let mut counts = [0u32; tlr_isa::OpClass::COUNT];
-                for (lane, value) in counts.iter_mut().zip(lanes) {
-                    *lane = value.as_u32("mix")?;
-                }
-                tlr_isa::ClassMix::from_counts(counts)
-            }
-            None => tlr_isa::ClassMix::EMPTY,
-        };
-        let trace = TraceRecord {
-            start_pc: t.field("start_pc")?.as_u32("start_pc")?,
-            next_pc: t.field("next_pc")?.as_u32("next_pc")?,
-            len: t.field("len")?.as_u32("len")?,
-            ins: json_pairs(t.field("ins")?, "ins")?.into_boxed_slice(),
-            outs: json_pairs(t.field("outs")?, "outs")?.into_boxed_slice(),
-            mix,
-        };
-        validate_record(index, &trace)?;
-        // Provenance arrived with format v3; older JSON dumps lack the
-        // field and load as zero provenance.
-        let trace_meta = match t.opt_field("meta") {
-            Some(m) => TraceMeta {
-                hits: m.field("hits")?.as_u64("meta.hits")?,
-                last_use: m.field("last_use")?.as_u64("meta.last_use")?,
-                source_run: m.field("source_run")?.as_u64("meta.source_run")?,
-            },
-            None => TraceMeta::default(),
-        };
-        traces.push(trace);
-        meta.push(trace_meta);
-    }
-    Ok((
-        fingerprint,
-        RtmSnapshot {
-            config: RtmConfig { geometry },
-            traces,
-            meta,
-            shape,
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -793,15 +621,45 @@ mod tests {
         assert_mixes_match(&again, &snapshot, "binary");
     }
 
+    /// The JSON debug dump is write-only, but it must stay a faithful,
+    /// parseable picture of the snapshot.
     #[test]
     fn json_roundtrip() {
-        let snapshot = sample_snapshot();
-        let doc = snapshot_to_json(5, &snapshot);
-        let text = json::to_string_pretty(&doc);
-        let (fp, again) = snapshot_from_json(&json::parse(&text).unwrap(), Some(5)).unwrap();
-        assert_eq!(fp, 5);
-        assert_eq!(again, snapshot);
-        assert_mixes_match(&again, &snapshot, "json");
+        let mut snapshot = sample_snapshot();
+        snapshot.shape = 0x5a5e;
+        let text = json::to_string_pretty(&snapshot_to_json(5, &snapshot));
+        let doc = json::parse(&text).unwrap();
+        let field = |key| doc.field(key).unwrap();
+        assert_eq!(
+            field("format").as_str("format").unwrap(),
+            JSON_SNAPSHOT_FORMAT
+        );
+        assert_eq!(field("fingerprint").as_u64("fingerprint").unwrap(), 5);
+        assert_eq!(field("shape").as_u64("shape").unwrap(), 0x5a5e);
+        let traces = field("traces").as_arr("traces").unwrap();
+        assert_eq!(traces.len(), snapshot.len());
+        let pcs: Vec<u64> = traces
+            .iter()
+            .map(|t| t.field("start_pc").unwrap().as_u64("start_pc").unwrap())
+            .collect();
+        let expected: Vec<u64> = snapshot.traces.iter().map(|t| t.start_pc.into()).collect();
+        assert_eq!(pcs, expected);
+    }
+
+    /// Both binary frame encodings (plain and run-length compressed)
+    /// of `snapshot` must fail to load with a `Corrupt` error naming
+    /// `needle`.
+    fn expect_corrupt_both_formats(snapshot: &RtmSnapshot, needle: &str) {
+        for compress in [false, true] {
+            let mut buf = Vec::new();
+            write_snapshot_with(&mut buf, 0, snapshot, SnapshotWriteOptions { compress }).unwrap();
+            match read_snapshot(&mut buf.as_slice(), None) {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains(needle), "compress={compress}: {msg}")
+                }
+                other => panic!("compress={compress}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -810,35 +668,7 @@ mod tests {
         let mut counts = [0u32; tlr_isa::OpClass::COUNT];
         counts[tlr_isa::OpClass::IntAlu.index()] = snapshot.traces[2].len + 1;
         snapshot.traces[2].mix = tlr_isa::ClassMix::from_counts(counts);
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, 0, &snapshot).unwrap();
-        match read_snapshot(&mut buf.as_slice(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("attributes"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let doc = snapshot_to_json(0, &snapshot);
-        match snapshot_from_json(&json::parse(&json::to_string_pretty(&doc)).unwrap(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("attributes"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_arity_json_mix_rejected() {
-        let snapshot = sample_snapshot();
-        let text = json::to_string_pretty(&snapshot_to_json(0, &snapshot));
-        // Drop one lane from the first mix array: 11 counts become 10.
-        let start = text.find("\"mix\"").expect("mix field present");
-        let open = start + text[start..].find('[').unwrap();
-        let close = open + text[open..].find(']').unwrap();
-        let mut lanes: Vec<&str> = text[open + 1..close].split(',').collect();
-        assert_eq!(lanes.len(), tlr_isa::OpClass::COUNT);
-        lanes.pop();
-        let bad = format!("{}[{}{}", &text[..open], lanes.join(","), &text[close..]);
-        match snapshot_from_json(&json::parse(&bad).unwrap(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("class counts"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        expect_corrupt_both_formats(&snapshot, "attributes");
     }
 
     #[test]
@@ -864,42 +694,18 @@ mod tests {
 
     #[test]
     fn oversized_geometry_rejected_both_formats() {
-        // 2^30 sets is a power of two, so it passed the old validation
-        // and would allocate gigabytes in the RTM constructor on import.
+        // 2^30 sets is a power of two, so it passes the power-of-two
+        // check and would allocate gigabytes in the RTM constructor.
         let mut snapshot = sample_snapshot();
         snapshot.config.geometry.sets = 1 << 30;
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, 0, &snapshot).unwrap();
-        match read_snapshot(&mut buf.as_slice(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("oversized"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let doc = snapshot_to_json(0, &snapshot);
-        match snapshot_from_json(&json::parse(&json::to_string_pretty(&doc)).unwrap(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("oversized"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        expect_corrupt_both_formats(&snapshot, "oversized");
     }
 
     #[test]
     fn zero_length_trace_rejected_both_formats() {
         let mut snapshot = sample_snapshot();
         snapshot.traces[3].len = 0;
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, 0, &snapshot).unwrap();
-        match read_snapshot(&mut buf.as_slice(), None) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("zero instructions"), "{msg}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let doc = snapshot_to_json(0, &snapshot);
-        match snapshot_from_json(&json::parse(&json::to_string_pretty(&doc)).unwrap(), None) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("zero instructions"), "{msg}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        expect_corrupt_both_formats(&snapshot, "zero instructions");
     }
 
     #[test]
@@ -909,17 +715,7 @@ mod tests {
             .map(|i| (Loc::Mem(i * 8), i))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, 0, &snapshot).unwrap();
-        match read_snapshot(&mut buf.as_slice(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("load caps"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let doc = snapshot_to_json(0, &snapshot);
-        match snapshot_from_json(&json::parse(&json::to_string_pretty(&doc)).unwrap(), None) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("load caps"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        expect_corrupt_both_formats(&snapshot, "load caps");
     }
 
     #[test]
@@ -927,11 +723,18 @@ mod tests {
         let dir = std::env::temp_dir().join("tlr-snapshot-peek-test");
         std::fs::create_dir_all(&dir).unwrap();
         let bin = dir.join("peek.tlrsnap");
-        save_snapshot(&bin, 0xfeed, &sample_snapshot()).unwrap();
+        let mut snapshot = sample_snapshot();
+        snapshot.shape = 0x5a5e;
+        save_snapshot(&bin, 0xfeed, &snapshot).unwrap();
         assert_eq!(peek_snapshot_fingerprint(&bin).unwrap(), 0xfeed);
+        assert_eq!(peek_snapshot_identity(&bin).unwrap(), (0xfeed, 0x5a5e));
+        // JSON dumps are write-only: no peek reads one.
         let jsn = dir.join("peek.json");
-        save_snapshot(&jsn, 0xbeef, &sample_snapshot()).unwrap();
-        assert_eq!(peek_snapshot_fingerprint(&jsn).unwrap(), 0xbeef);
+        save_snapshot(&jsn, 0xbeef, &snapshot).unwrap();
+        assert!(matches!(
+            peek_snapshot_fingerprint(&jsn),
+            Err(PersistError::JsonWriteOnly)
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! materializing the stream, verifying the trailer when it is reached.
 
 use crate::error::{PersistError, Result};
-use crate::format::{FileFormat, Header, KIND_TRACE_STREAM};
+use crate::format::{reject_json, FileFormat, Header, KIND_TRACE_STREAM};
 use crate::json::{self, Json};
 use crate::wire;
 use std::collections::BTreeMap;
@@ -163,12 +163,9 @@ pub struct TraceReader<R: Read> {
 impl TraceReader<BufReader<File>> {
     /// Open a binary trace stream, checking magic, version, kind, and —
     /// when `expected_fingerprint` is given — the program fingerprint.
+    /// A `.json` path is refused: JSON dumps are write-only.
     pub fn open(path: &Path, expected_fingerprint: Option<u64>) -> Result<Self> {
-        if FileFormat::detect(path) == FileFormat::Json {
-            return Err(PersistError::Corrupt(
-                "streaming trace files are binary; read JSON via load_trace".into(),
-            ));
-        }
+        reject_json(path)?;
         Self::new(BufReader::new(File::open(path)?), expected_fingerprint)
     }
 }
@@ -279,7 +276,7 @@ pub struct TraceFile {
     pub halted: bool,
 }
 
-/// JSON format tag for trace streams.
+/// JSON format tag of the trace stream debug dump.
 pub const JSON_TRACE_FORMAT: &str = "tlr-trace-v1";
 
 fn dyn_instr_to_json(d: &DynInstr) -> Json {
@@ -306,41 +303,8 @@ fn dyn_instr_to_json(d: &DynInstr) -> Json {
     Json::Obj(obj)
 }
 
-pub(crate) fn json_pairs(value: &Json, what: &str) -> Result<Vec<(tlr_isa::Loc, u64)>> {
-    value
-        .as_arr(what)?
-        .iter()
-        .map(|item| {
-            let triple = item.as_arr(what)?;
-            if triple.len() != 3 {
-                return Err(PersistError::Corrupt(format!(
-                    "\"{what}\": location entries are [tag, loc, value] triples"
-                )));
-            }
-            let loc = wire::loc_from_tag(triple[0].as_u64(what)?, triple[1].as_u64(what)?)?;
-            Ok((loc, triple[2].as_u64(what)?))
-        })
-        .collect()
-}
-
-fn dyn_instr_from_json(value: &Json) -> Result<DynInstr> {
-    let reads = json_pairs(value.field("reads")?, "reads")?;
-    let writes = json_pairs(value.field("writes")?, "writes")?;
-    if reads.len() > tlr_isa::dynrec::MAX_READS || writes.len() > tlr_isa::dynrec::MAX_WRITES {
-        return Err(PersistError::Corrupt(
-            "record exceeds read/write set capacity".into(),
-        ));
-    }
-    Ok(DynInstr {
-        pc: value.field("pc")?.as_u32("pc")?,
-        next_pc: value.field("next_pc")?.as_u32("next_pc")?,
-        class: wire::opclass_from_code(value.field("class")?.as_u8("class")?)?,
-        reads: reads.into_iter().collect(),
-        writes: writes.into_iter().collect(),
-    })
-}
-
-/// Save a trace to `path`, choosing binary or JSON by extension.
+/// Save a trace to `path`, choosing binary or the write-only JSON debug
+/// dump by extension.
 pub fn save_trace(path: &Path, fingerprint: u64, records: &[DynInstr], halted: bool) -> Result<()> {
     match FileFormat::detect(path) {
         FileFormat::Binary => {
@@ -367,50 +331,17 @@ pub fn save_trace(path: &Path, fingerprint: u64, records: &[DynInstr], halted: b
     }
 }
 
-/// Load a trace from `path` (format by extension), optionally pinning
-/// the expected program fingerprint.
+/// Load a binary trace from `path`, optionally pinning the expected
+/// program fingerprint. A `.json` path is refused: JSON dumps are
+/// write-only.
 pub fn load_trace(path: &Path, expected_fingerprint: Option<u64>) -> Result<TraceFile> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let mut reader = TraceReader::open(path, expected_fingerprint)?;
-            let records = reader.read_to_end()?;
-            Ok(TraceFile {
-                fingerprint: reader.header().fingerprint,
-                records,
-                halted: reader.halted().unwrap_or(false),
-            })
-        }
-        FileFormat::Json => {
-            let doc = json::parse(&std::fs::read_to_string(path)?)?;
-            let format = doc.field("format")?.as_str("format")?;
-            if format != JSON_TRACE_FORMAT {
-                return Err(PersistError::Corrupt(format!(
-                    "\"format\" is {format:?}, expected {JSON_TRACE_FORMAT:?}"
-                )));
-            }
-            let fingerprint = doc.field("fingerprint")?.as_u64("fingerprint")?;
-            if let Some(expected) = expected_fingerprint {
-                if fingerprint != expected {
-                    return Err(PersistError::FingerprintMismatch {
-                        found: fingerprint,
-                        expected,
-                    });
-                }
-            }
-            let halted = matches!(doc.field("halted")?, Json::Bool(true));
-            let records = doc
-                .field("records")?
-                .as_arr("records")?
-                .iter()
-                .map(dyn_instr_from_json)
-                .collect::<Result<Vec<_>>>()?;
-            Ok(TraceFile {
-                fingerprint,
-                records,
-                halted,
-            })
-        }
-    }
+    let mut reader = TraceReader::open(path, expected_fingerprint)?;
+    let records = reader.read_to_end()?;
+    Ok(TraceFile {
+        fingerprint: reader.header().fingerprint,
+        records,
+        halted: reader.halted().unwrap_or(false),
+    })
 }
 
 #[cfg(test)]
@@ -511,6 +442,8 @@ mod tests {
         assert!(saw_error, "bit flip not detected");
     }
 
+    /// The JSON debug dump is write-only, but it must stay a faithful,
+    /// parseable picture of the trace; loading it is refused by name.
     #[test]
     fn json_file_roundtrip() {
         let dir = std::env::temp_dir().join("tlr-persist-test-json");
@@ -518,10 +451,18 @@ mod tests {
         let path = dir.join("trace.json");
         let records: Vec<DynInstr> = (0..5).map(sample).collect();
         save_trace(&path, 99, &records, false).unwrap();
-        let loaded = load_trace(&path, Some(99)).unwrap();
-        assert_eq!(loaded.records, records);
-        assert_eq!(loaded.fingerprint, 99);
-        assert!(!loaded.halted);
+        let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let field = |key| doc.field(key).unwrap();
+        assert_eq!(field("format").as_str("format").unwrap(), JSON_TRACE_FORMAT);
+        assert_eq!(field("fingerprint").as_u64("fingerprint").unwrap(), 99);
+        assert_eq!(field("halted"), &Json::Bool(false));
+        let dumped = field("records").as_arr("records").unwrap();
+        assert_eq!(dumped.len(), records.len());
+        assert_eq!(dumped[3].field("pc").unwrap().as_u64("pc").unwrap(), 3);
+        assert!(matches!(
+            load_trace(&path, Some(99)),
+            Err(PersistError::JsonWriteOnly)
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -283,16 +283,16 @@ pub(crate) fn get_trace_record(r: &mut impl Read) -> Result<TraceRecord> {
         len,
         ins,
         outs,
-        // Format v4+ appends the mix after the provenance record; the
-        // snapshot reader fills it in. Pre-v4 records have none.
+        // The mix follows the provenance record in a snapshot frame;
+        // the snapshot reader fills it in.
         mix: ClassMix::EMPTY,
     })
 }
 
 // ---- ClassMix -------------------------------------------------------------
 
-/// Encode a trace's per-class instruction mix (format v4+: appended
-/// after the provenance record inside the frame). Self-describing: a
+/// Encode a trace's per-class instruction mix (appended after the
+/// provenance record inside the frame). Self-describing: a
 /// lane-count prefix lets a reader reject a mix written by an ISA with a
 /// different class set instead of misparsing it.
 pub(crate) fn put_class_mix(out: &mut Vec<u8>, mix: ClassMix) {
@@ -320,8 +320,8 @@ pub(crate) fn get_class_mix(r: &mut impl Read) -> Result<ClassMix> {
 
 // ---- TraceMeta ------------------------------------------------------------
 
-/// Encode one trace's provenance (format v3+: appended to the trace
-/// record inside its frame, so the frame checksum covers it).
+/// Encode one trace's provenance (appended to the trace record inside
+/// its frame, so the frame checksum covers it).
 pub(crate) fn put_trace_meta(out: &mut Vec<u8>, meta: &tlr_core::TraceMeta) {
     put_u64(out, meta.hits);
     put_u64(out, meta.last_use);

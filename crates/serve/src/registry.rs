@@ -21,8 +21,8 @@ use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmSnapshot};
 use tlr_persist::snapshot::write_snapshot;
 use tlr_persist::{
     base_file_name, delta_file_name, delta_seq_from_path, diff_snapshots, group_digests,
-    load_merged_snapshots_tuned, load_snapshot_payload, peek_snapshot_identity, save_delta_segment,
-    save_snapshot_with, PersistError, SnapshotPayload, SnapshotWriteOptions,
+    load_merged_snapshots_tuned, load_snapshot_payload, peek_snapshot_identity, save_base,
+    save_delta_segment, PersistError, SnapshotPayload, SnapshotWriteOptions,
 };
 use tlr_util::{FxHashMap, FxHashSet};
 
@@ -52,8 +52,6 @@ pub struct RegistryConfig {
     /// [`spill`](SnapshotRegistry::spill) folds base + deltas into a
     /// fresh base file (LSM level-0 style).
     pub compact_threshold: usize,
-    /// Run-length compress spilled files (deltas and compacted bases).
-    pub compress_spills: bool,
 }
 
 impl Default for RegistryConfig {
@@ -64,7 +62,6 @@ impl Default for RegistryConfig {
             policy: ReplacementPolicy::Lru,
             lfu_half_life: tlr_core::LFU_HALF_LIFE,
             compact_threshold: 8,
-            compress_spills: true,
         }
     }
 }
@@ -1005,13 +1002,10 @@ impl SnapshotRegistry {
             (Arc::clone(&entry.snap), entry.spill.clone())
         };
         let groups = group_digests(&snap)?;
-        let options = SnapshotWriteOptions {
-            compress: self.config.compress_spills,
-        };
         let Some(state) = spill_state else {
             // First durable representation: a full base file.
             let path = self.dir.join(base_file_name(fingerprint));
-            let bytes = self.write_base(&path, fingerprint, &snap, options)?;
+            let bytes = save_base(&path, fingerprint, &snap)?;
             {
                 let mut index = self.index.write().unwrap();
                 index.add(fingerprint, snap.shape, path.clone());
@@ -1036,7 +1030,7 @@ impl SnapshotRegistry {
             return Ok(SpillOutcome::default());
         }
         if state.delta_files.len() + 1 >= self.config.compact_threshold.max(1) {
-            return self.compact_resident(fingerprint, &snap, groups, options);
+            return self.compact_resident(fingerprint, &snap, groups);
         }
         let path = self.dir.join(delta_file_name(fingerprint, state.next_seq));
         let delta_groups = delta
@@ -1047,7 +1041,12 @@ impl SnapshotRegistry {
             .len() as u64;
         let tombstones = delta.tombstones.len() as u64;
         let tmp = path.with_extension("tmp");
-        save_delta_segment(&tmp, fingerprint, &delta, options.compress)?;
+        save_delta_segment(
+            &tmp,
+            fingerprint,
+            &delta,
+            SnapshotWriteOptions::SPILL.compress,
+        )?;
         std::fs::rename(&tmp, &path).map_err(PersistError::from)?;
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         {
@@ -1076,22 +1075,6 @@ impl SnapshotRegistry {
         })
     }
 
-    /// Write a full base file via a temp-and-rename so a concurrent
-    /// reader never sees a half-written snapshot. Returns bytes
-    /// written.
-    fn write_base(
-        &self,
-        path: &Path,
-        fingerprint: u64,
-        snap: &RtmSnapshot,
-        options: SnapshotWriteOptions,
-    ) -> Result<u64, ServeError> {
-        let tmp = path.with_extension("tmp");
-        save_snapshot_with(&tmp, fingerprint, snap, options)?;
-        std::fs::rename(&tmp, path).map_err(PersistError::from)?;
-        Ok(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0))
-    }
-
     /// Fold the resident state into a fresh base file and delete every
     /// superseded file for `fingerprint`. Caller holds `refresh_serial`.
     fn compact_resident(
@@ -1099,7 +1082,6 @@ impl SnapshotRegistry {
         fingerprint: u64,
         snap: &RtmSnapshot,
         groups: BTreeMap<u32, u64>,
-        options: SnapshotWriteOptions,
     ) -> Result<SpillOutcome, ServeError> {
         let base = self.dir.join(base_file_name(fingerprint));
         let old_paths: Vec<PathBuf> = self
@@ -1107,7 +1089,7 @@ impl SnapshotRegistry {
             .into_iter()
             .filter(|p| *p != base)
             .collect();
-        let bytes = self.write_base(&base, fingerprint, snap, options)?;
+        let bytes = save_base(&base, fingerprint, snap)?;
         {
             let mut index = self.index.write().unwrap();
             for path in &old_paths {

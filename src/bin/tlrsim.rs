@@ -24,8 +24,10 @@
 //!   H:     i1..i8 | ilr-ne | ilr-exp | bb   (default i4)
 //!   P:     lru | lfu | cost-benefit         (default lru)
 //!          (--lfu-half-life N tunes the LFU/cost-benefit decay window)
-//!   TRACE: *.tlrtrace (binary) or *.json (debug format)
-//!   SNAP:  *.tlrsnap  (binary) or *.json (debug format)
+//!   TRACE: *.tlrtrace (binary); `record --out *.json` writes a
+//!          write-only debug dump
+//!   SNAP:  *.tlrsnap  (binary); `snapshot`/`merge --out *.json` write
+//!          a write-only debug dump
 //!   FILE:  an assembly file, or workload:NAME for a built-in workload
 //!          (seeded with --seed)
 //! ```
@@ -52,7 +54,8 @@
 //! freshest run last), `compact` folds each program's base + delta
 //! segments in a snapshot directory into one fresh base file
 //! (`--keep-deltas` renames the originals to `*.bak` instead of
-//! deleting them), `golden` maintains the golden-trace regression
+//! deleting them; the fresh base is written compressed, like the
+//! registry's own compaction), `golden` maintains the golden-trace regression
 //! corpus in `tests/golden/` — with `--regen` it re-records every
 //! built-in workload (trace file + expected digests in a manifest,
 //! under pinned budget/seed/engine parameters so the corpus is
@@ -74,9 +77,8 @@
 
 use std::path::Path;
 use trace_reuse::persist::{
-    load_snapshot, load_trace, peek_snapshot_fingerprint, program_fingerprint,
-    program_shape_fingerprint, replay, save_snapshot, save_trace, FileFormat, MemorySource,
-    TraceReader, TraceWriter,
+    load_snapshot, peek_snapshot_fingerprint, program_fingerprint, program_shape_fingerprint,
+    replay, save_snapshot, save_trace, FileFormat, TraceReader, TraceWriter,
 };
 use trace_reuse::prelude::*;
 
@@ -491,20 +493,10 @@ fn cmd_replay(path: &str, flags: &Flags) {
         .unwrap_or_else(|| fail("replay needs --trace TRACE"));
     let program = load(path, flags.seed);
     let fingerprint = program_fingerprint(&program);
-    let stats = if FileFormat::detect(Path::new(trace)) == FileFormat::Json {
-        let file = load_trace(Path::new(trace), Some(fingerprint))
-            .unwrap_or_else(|e| fail(&format!("{trace}: {e}")));
-        let mut source = MemorySource::from(file);
-        replay(&program, &mut source)
-            .unwrap_or_else(|e| fail(&format!("{trace}: {e}")))
-            .0
-    } else {
-        let mut reader = TraceReader::open(Path::new(trace), Some(fingerprint))
-            .unwrap_or_else(|e| fail(&format!("{trace}: {e}")));
-        replay(&program, &mut reader)
-            .unwrap_or_else(|e| fail(&format!("{trace}: {e}")))
-            .0
-    };
+    let mut reader = TraceReader::open(Path::new(trace), Some(fingerprint))
+        .unwrap_or_else(|e| fail(&format!("{trace}: {e}")));
+    let (stats, _) =
+        replay(&program, &mut reader).unwrap_or_else(|e| fail(&format!("{trace}: {e}")));
     println!(
         "{}: {} instructions replayed, no divergence",
         if stats.halted {
@@ -602,7 +594,7 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
 fn cmd_compact(dir: &str, flags: &Flags) {
     use std::collections::BTreeMap;
     use std::path::PathBuf;
-    use trace_reuse::persist::{base_file_name, load_merged_snapshots_tuned};
+    use trace_reuse::persist::{base_file_name, load_merged_snapshots_tuned, save_base};
 
     let dir_path = Path::new(dir);
     let entries = std::fs::read_dir(dir_path)
@@ -642,12 +634,6 @@ fn cmd_compact(dir: &str, flags: &Flags) {
             flags.lfu_half_life,
         )
         .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
-        // Write the fresh base next to the inputs, then rename into
-        // place, so a crash mid-compaction never leaves a half-written
-        // base where loaders can see it.
-        let tmp = base.with_extension("tmp");
-        save_snapshot(&tmp, *fingerprint, &snapshot)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", tmp.display())));
         if flags.keep_deltas {
             for path in paths {
                 let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -661,7 +647,10 @@ fn cmd_compact(dir: &str, flags: &Flags) {
                     .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
             }
         }
-        std::fs::rename(&tmp, &base).unwrap_or_else(|e| fail(&format!("{}: {e}", base.display())));
+        // The same encoding and temp-and-rename the registry's own
+        // compaction uses.
+        save_base(&base, *fingerprint, &snapshot)
+            .unwrap_or_else(|e| fail(&format!("{}: {e}", base.display())));
         if !flags.keep_deltas {
             for path in paths {
                 if *path != base {

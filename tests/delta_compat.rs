@@ -1,18 +1,11 @@
-//! Format-v5 compatibility and delta-segment hardening: v4 files
-//! (provenance + class mix, zero flags byte) must still load exactly,
-//! a base plus its delta segments must reconstruct the same state as a
-//! full snapshot of the final RTM under every replacement policy, and
-//! corrupt delta segments — truncation, bit flips, cap-busting
-//! geometry, mangled JSON — must be rejected with a descriptive
-//! `PersistError` on both the binary and JSON paths.
-//!
-//! The v4 writer here is hand-rolled byte-for-byte from the historical
-//! layout (like `snapshot_compat.rs` does for v2/v3), so these tests
-//! keep failing loudly if the reader ever drops v4 support by
-//! accident.
+//! Delta-segment hardening: a base plus its delta segments must
+//! reconstruct the same state as a full snapshot of the final RTM under
+//! every replacement policy, an offline-compacted base must be written
+//! the way spills are and load to the same state, and corrupt delta
+//! segments — truncation, bit flips, cap-busting geometry or tombstone
+//! counts — must be rejected with a descriptive `PersistError`.
 
 use proptest::prelude::*;
-use std::hash::Hasher;
 use std::path::PathBuf;
 use tlr_core::{
     ReplacementPolicy, ReuseTraceMemory, RtmConfig, RtmSnapshot, SetAssocGeometry, TraceMeta,
@@ -20,13 +13,12 @@ use tlr_core::{
 };
 use tlr_isa::Loc;
 use tlr_persist::snapshot::MAX_GEOMETRY_CAPACITY;
+use tlr_persist::wire::{put_u32, put_u64};
 use tlr_persist::{
     base_file_name, delta_file_name, diff_snapshots, group_digests, load_merged_snapshots,
     load_merged_snapshots_with, load_snapshot, save_delta_segment, save_snapshot, DeltaSegment,
-    Header, PersistError, FLAG_DELTA_SEGMENT, FORMAT_VERSION, KIND_RTM_SNAPSHOT,
-    MIN_SUPPORTED_VERSION,
+    Header, PersistError, FLAG_COMPRESSED_FRAMES, FLAG_DELTA_SEGMENT, KIND_RTM_SNAPSHOT,
 };
-use tlr_util::fxhash::FxHasher64;
 
 /// Per-test temp directory: each test function uses its own tag so the
 /// deterministic `{fingerprint}-base` / `{fingerprint}-delta-NNNNNN`
@@ -63,184 +55,13 @@ fn snapshot(pcs: &[(u32, u64)]) -> RtmSnapshot {
     s
 }
 
-// ---- a byte-level writer for the historical v4 layout ---------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_loc(out: &mut Vec<u8>, loc: Loc) {
-    match loc {
-        Loc::IntReg(n) => {
-            out.push(0);
-            out.push(n);
-        }
-        Loc::FpReg(n) => {
-            out.push(1);
-            out.push(n);
-        }
-        Loc::Mem(addr) => {
-            out.push(2);
-            put_u64(out, addr);
-        }
-    }
-}
-
-fn encode_record(rec: &TraceRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, rec.start_pc);
-    put_u32(&mut out, rec.next_pc);
-    put_u32(&mut out, rec.len);
-    put_u16(&mut out, rec.ins.len() as u16);
-    put_u16(&mut out, rec.outs.len() as u16);
-    for (loc, val) in rec.ins.iter().chain(rec.outs.iter()) {
-        put_loc(&mut out, *loc);
-        put_u64(&mut out, *val);
-    }
-    out
-}
-
-/// A v4 entry frame: record, then 24 bytes of provenance, then the
-/// lane-count-prefixed class mix — exactly what a v4 build wrote.
-fn encode_v4_frame(rec: &TraceRecord, meta: &TraceMeta) -> Vec<u8> {
-    let mut frame = encode_record(rec);
-    put_u64(&mut frame, meta.hits);
-    put_u64(&mut frame, meta.last_use);
-    put_u64(&mut frame, meta.source_run);
-    frame.push(tlr_isa::OpClass::COUNT as u8);
-    for (_, count) in rec.mix.iter() {
-        put_u32(&mut frame, count);
-    }
-    frame
-}
-
-/// Serialize a snapshot file of the given header `version` from raw
-/// per-trace frame payloads. The flags byte (offset 7, reserved before
-/// v5) is written as 0, the only legal value for v2–v4.
-fn encode_snapshot_file(version: u16, fingerprint: u64, frames: &[Vec<u8>]) -> Vec<u8> {
-    let geometry = RtmConfig::RTM_512.geometry;
-    let mut out = Vec::new();
-    out.extend_from_slice(b"TLRP");
-    put_u16(&mut out, version);
-    out.push(2); // kind: RTM snapshot
-    out.push(0); // flags (reserved before v5)
-    put_u64(&mut out, fingerprint);
-
-    let mut prelude = Vec::new();
-    put_u32(&mut prelude, geometry.sets);
-    put_u32(&mut prelude, geometry.ways);
-    put_u32(&mut prelude, geometry.per_pc);
-    put_u64(&mut prelude, frames.len() as u64);
-    out.extend_from_slice(&prelude);
-
-    let mut checksum = FxHasher64::new();
-    checksum.write(&prelude);
-    for frame in frames {
-        put_u32(&mut out, frame.len() as u32);
-        out.extend_from_slice(frame);
-        checksum.write(frame);
-    }
-    put_u32(&mut out, 0);
-    put_u64(&mut out, frames.len() as u64);
-    put_u64(&mut out, checksum.finish());
-    out
-}
-
-// ---- v4 back-compat -------------------------------------------------------
-
-#[test]
-fn v4_snapshot_with_provenance_and_mix_still_loads() {
-    // The v5 bump repurposed the reserved byte as flags; a v4 file's
-    // content (record + provenance + mix, flags byte 0) must survive
-    // unchanged. Anchor the version pair so this test is rewritten
-    // deliberately on the next bump, not silently skipped.
-    assert_eq!(FORMAT_VERSION, 6);
-    assert_eq!(MIN_SUPPORTED_VERSION, 2);
-
-    let mut counts = [0u32; tlr_isa::OpClass::COUNT];
-    counts[tlr_isa::OpClass::IntAlu.index()] = 2;
-    counts[tlr_isa::OpClass::Load.index()] = 1;
-    let mix = tlr_isa::ClassMix::from_counts(counts);
-    let records = [TraceRecord { mix, ..rec(8, 1) }, rec(16, 2)];
-    let metas = [
-        TraceMeta {
-            hits: 5,
-            last_use: 123,
-            source_run: 9001,
-        },
-        TraceMeta {
-            hits: 1,
-            last_use: 200,
-            source_run: 9001,
-        },
-    ];
-    let frames: Vec<Vec<u8>> = records
-        .iter()
-        .zip(metas.iter())
-        .map(|(r, m)| encode_v4_frame(r, m))
-        .collect();
-    let bytes = encode_snapshot_file(4, 77, &frames);
-    let path = temp_path("v4", "v4.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let (fp, loaded) = load_snapshot(&path, Some(77)).expect("v4 snapshot must still load");
-    assert_eq!(fp, 77);
-    assert_eq!(loaded.traces, records.to_vec());
-    assert_eq!(loaded.meta, metas.to_vec(), "v4 provenance lost");
-    // Trace identity ignores the mix, so check it explicitly.
-    assert_eq!(loaded.traces[0].mix, mix, "v4 class mix lost");
-    assert!(loaded.traces[1].mix.is_empty());
-}
-
-#[test]
-fn v5_snapshot_loads_as_value_pinned() {
-    // The v6 bump appended the shape fingerprint to the full-snapshot
-    // prelude; a v5 file (20-byte prelude, same frame layout) must
-    // still load, with shape 0 — value-pinned, never shape-shared.
-    let records = [rec(8, 1), rec(16, 2)];
-    let frames: Vec<Vec<u8>> = records
-        .iter()
-        .map(|r| encode_v4_frame(r, &TraceMeta::default()))
-        .collect();
-    let bytes = encode_snapshot_file(5, 78, &frames);
-    let path = temp_path("v5", "v5.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let (fp, loaded) = load_snapshot(&path, Some(78)).expect("v5 snapshot must still load");
-    assert_eq!(fp, 78);
-    assert_eq!(loaded.traces, records.to_vec());
-    assert_eq!(loaded.shape, 0, "pre-v6 snapshots must be value-pinned");
-}
-
-#[test]
-fn v4_header_with_flag_bits_rejected() {
-    // Byte 7 was reserved-must-be-zero before v5: a v4 file claiming a
-    // v5 flag is damaged, not "an old file with compression".
-    let frames = vec![encode_v4_frame(&rec(8, 1), &TraceMeta::default())];
-    let mut bytes = encode_snapshot_file(4, 77, &frames);
-    bytes[7] = FLAG_DELTA_SEGMENT;
-    let path = temp_path("v4", "v4-flagged.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(
-                msg.contains("reserved header byte"),
-                "unhelpful error: {msg}"
-            )
-        }
-        other => panic!("expected Corrupt(reserved header byte), got {other:?}"),
-    }
-}
+// ---- header flags ---------------------------------------------------------
 
 #[test]
 fn v5_header_with_unknown_flag_rejected() {
-    let path = temp_path("v5", "unknown-flag.tlrsnap");
+    // The flags byte arrived in v5; a bit this build does not define
+    // marks a damaged (or foreign) file, not one to misparse.
+    let path = temp_path("flags", "unknown-flag.tlrsnap");
     save_snapshot(&path, 9, &snapshot(&[(8, 1)])).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[7] |= 0x80; // a flag bit this build does not define
@@ -434,18 +255,18 @@ fn cap_busting_delta_geometry_rejected() {
             meta: vec![TraceMeta::default()],
         };
         mutate(&mut delta.config.geometry);
-        for ext in ["tlrsnap", "json"] {
-            let path = temp_path("hostile", &format!("geom-{tag}.{ext}"));
-            save_delta_segment(&path, 7, &delta, false).unwrap();
+        for compress in [false, true] {
+            let path = temp_path("hostile", &format!("geom-{tag}-{compress}.tlrsnap"));
+            save_delta_segment(&path, 7, &delta, compress).unwrap();
             match load_merged_snapshots(&[path], None) {
                 Err(PersistError::Corrupt(msg)) => {
                     assert!(
                         msg.contains("oversized"),
-                        "{tag}/{ext}: unhelpful error: {msg}"
+                        "{tag}/compress={compress}: unhelpful error: {msg}"
                     )
                 }
                 other => panic!(
-                    "{tag}/{ext}: expected Corrupt(oversized), got {:?}",
+                    "{tag}/compress={compress}: expected Corrupt(oversized), got {:?}",
                     other.map(|(fp, s)| (fp, s.len()))
                 ),
             }
@@ -487,49 +308,63 @@ fn cap_busting_tombstone_count_rejected_before_allocation() {
     }
 }
 
+// ---- offline compaction ----------------------------------------------------
+
+/// `tlrsim compact` writes its fresh base through the same function as
+/// the registry's compaction: compressed frames, and the state of the
+/// folded base + delta chain, bit for bit per PC group.
 #[test]
-fn json_corrupt_delta_rejected() {
-    let delta = DeltaSegment {
-        seq: 42,
-        config: RtmConfig::RTM_512,
-        tombstones: vec![77777],
-        traces: vec![rec(4, 7)],
-        meta: vec![TraceMeta {
-            hits: 3,
-            last_use: 11,
-            source_run: 2,
-        }],
-    };
-    let path = temp_path("json", "delta.json");
-    save_delta_segment(&path, 5, &delta, false).unwrap();
-    let good = std::fs::read_to_string(&path).unwrap();
+fn offline_compaction_writes_a_compressed_base_with_the_same_state() {
+    let dir = std::env::temp_dir().join(format!("tlr-delta-compat-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let states = [
+        snapshot(&[(0, 1), (4, 2), (8, 3)]),
+        snapshot(&[(0, 1), (4, 99), (12, 5)]),
+        snapshot(&[(0, 1), (4, 99), (12, 6), (16, 7)]),
+    ];
+    let base = dir.join(base_file_name(7));
+    save_snapshot(&base, 7, &states[0]).unwrap();
+    let mut paths = vec![base.clone()];
+    for (i, pair) in states.windows(2).enumerate() {
+        let seq = i as u64 + 1;
+        let delta = diff_snapshots(&group_digests(&pair[0]).unwrap(), &pair[1], seq).unwrap();
+        let path = dir.join(delta_file_name(7, seq));
+        save_delta_segment(&path, 7, &delta, true).unwrap();
+        paths.push(path);
+    }
+    let (_, before) = load_merged_snapshots(&paths, Some(7)).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tlrsim"))
+        .arg("compact")
+        .arg(&dir)
+        .output()
+        .expect("run tlrsim compact");
     assert!(
-        good.contains("\"delta\""),
-        "JSON dump lost its delta object"
+        out.status.success(),
+        "tlrsim compact failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(
+        left,
+        vec![base.clone()],
+        "compaction left other files behind"
     );
 
-    // A delta alone is rejected by the single-file loader by name, on
-    // the JSON path just like the binary one.
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("delta segment"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(delta segment), got {other:?}"),
-    }
-
-    // Each mutation corrupts only the delta object.
-    for (tag, find, replace) in [
-        ("seq-type", "\"seq\": 42", "\"seq\": \"many\""),
-        ("missing-seq", "\"seq\"", "\"seqq\""),
-        ("tombstones-shape", "\"tombstones\": [", "\"tombstones\": {"),
-        ("tombstone-range", "77777", "4294967296"),
-    ] {
-        assert!(good.contains(find), "{tag}: fixture drifted ({find:?})");
-        let bad = good.replacen(find, replace, 1);
-        std::fs::write(&path, &bad).unwrap();
-        assert!(
-            load_merged_snapshots(std::slice::from_ref(&path), None).is_err(),
-            "{tag}: corrupt delta accepted"
-        );
-    }
+    let header = Header::read_from(&mut std::fs::read(&base).unwrap().as_slice()).unwrap();
+    assert_eq!(
+        header.flags, FLAG_COMPRESSED_FRAMES,
+        "an offline-compacted base must be a compressed full snapshot"
+    );
+    let (_, after) = load_merged_snapshots(&[&base], Some(7)).unwrap();
+    assert_eq!(
+        group_digests(&after).unwrap(),
+        group_digests(&before).unwrap(),
+        "compaction changed the loaded state"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

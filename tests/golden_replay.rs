@@ -4,8 +4,10 @@
 //! `tests/golden/` holds one recorded trace per built-in workload plus
 //! a manifest of expected architectural-state and decision digests,
 //! generated by `tlrsim golden --regen` under pinned parameters. This
-//! suite replays every corpus entry through both persist formats
-//! (binary streaming and JSON debug) and re-runs the reuse engine
+//! suite replays every corpus entry through both binary read paths
+//! (the streaming reader and the one-shot `load_trace`), checks that
+//! the write-only JSON debug dump of each still carries the whole
+//! recording, and re-runs the reuse engine
 //! under every replacement policy, comparing digests against the
 //! manifest. Any divergence is a failure naming the workload and the
 //! first divergent PC — the corpus is the cross-version contract that
@@ -158,7 +160,21 @@ fn golden_corpus_replays_in_both_formats() {
             w.name
         );
 
-        // JSON debug format: same records through the one-shot codec.
+        // Binary, one-shot: the whole recording loaded into memory.
+        let file = load_trace(&trace_path, Some(fingerprint))
+            .unwrap_or_else(|e| panic!("{}: {e}", trace_path.display()));
+        assert_eq!(file.halted, expected_halted, "{}: halt flag", w.name);
+        let mut source = MemorySource::from(file);
+        let (stats, vm) = replay_checked(w.name, "loaded", &program, &mut source, &records);
+        assert_eq!(stats.replayed, expected_records);
+        assert_eq!(
+            vm.state_digest(),
+            expected_digest,
+            "{}: architectural state after in-memory replay",
+            w.name
+        );
+
+        // JSON debug dump: write-only, but a complete picture.
         let json_path = std::env::temp_dir().join(format!(
             "tlr-golden-replay-{}-{}.json",
             std::process::id(),
@@ -166,16 +182,28 @@ fn golden_corpus_replays_in_both_formats() {
         ));
         save_trace(&json_path, fingerprint, &records, expected_halted)
             .unwrap_or_else(|e| panic!("{}: {e}", json_path.display()));
-        let file = load_trace(&json_path, Some(fingerprint))
+        let dump = json::parse(&std::fs::read_to_string(&json_path).unwrap())
             .unwrap_or_else(|e| panic!("{}: {e}", json_path.display()));
         let _ = std::fs::remove_file(&json_path);
-        let mut source = MemorySource::from(file);
-        let (stats, vm) = replay_checked(w.name, "json", &program, &mut source, &records);
-        assert_eq!(stats.replayed, expected_records);
         assert_eq!(
-            vm.state_digest(),
-            expected_digest,
-            "{}: architectural state after JSON replay",
+            dump.field("format").unwrap().as_str("format").unwrap(),
+            "tlr-trace-v1"
+        );
+        assert_eq!(
+            dump.field("fingerprint")
+                .unwrap()
+                .as_u64("fingerprint")
+                .unwrap(),
+            fingerprint
+        );
+        assert_eq!(
+            dump.field("records")
+                .unwrap()
+                .as_arr("records")
+                .unwrap()
+                .len() as u64,
+            expected_records,
+            "{}: JSON dump lost records",
             w.name
         );
     }

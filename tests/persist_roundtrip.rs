@@ -1,14 +1,19 @@
 //! Persistence properties: serialize → deserialize is the identity for
-//! `DynInstr` streams and RTM snapshots, in both the binary and the JSON
-//! debug format; damaged or incompatible files are rejected.
+//! `DynInstr` streams and RTM snapshots in the binary format (plain and
+//! compressed frames); the JSON debug dumps stay parseable pictures of
+//! the same content but are write-only, refused by every loader by
+//! name; damaged or incompatible files are rejected.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use tlr_core::{RtmConfig, RtmSnapshot, TraceRecord};
 use tlr_isa::{DynInstr, Loc, OpClass};
-use tlr_persist::snapshot::{read_snapshot, write_snapshot};
+use tlr_persist::json::{self, Json};
+use tlr_persist::snapshot::{read_snapshot, write_snapshot, write_snapshot_with};
 use tlr_persist::{
-    load_snapshot, load_trace, save_snapshot, save_trace, PersistError, TraceReader, TraceWriter,
+    load_merged_snapshots, load_snapshot, load_snapshot_payload, load_trace,
+    peek_snapshot_fingerprint, peek_snapshot_identity, save_snapshot, save_trace, PersistError,
+    SnapshotWriteOptions, TraceReader, TraceWriter,
 };
 
 fn loc_strategy() -> impl Strategy<Value = Loc> {
@@ -79,7 +84,8 @@ proptest! {
         prop_assert_eq!(loaded.fingerprint, fingerprint);
     }
 
-    /// JSON stream round-trip.
+    /// The JSON stream dump parses and carries its format tag,
+    /// fingerprint, halt flag and every record's PCs.
     #[test]
     fn stream_json_roundtrip(
         records in proptest::collection::vec(dyn_instr_strategy(), 0..32),
@@ -87,12 +93,25 @@ proptest! {
     ) {
         let path = temp_path("stream.json");
         save_trace(&path, fingerprint, &records, true).unwrap();
-        let loaded = load_trace(&path, Some(fingerprint)).unwrap();
-        prop_assert_eq!(&loaded.records, &records);
-        prop_assert!(loaded.halted);
+        let doc = parse_dump(&path);
+        prop_assert_eq!(str_field(&doc, "format"), "tlr-trace-v1");
+        prop_assert_eq!(num_field(&doc, "fingerprint"), fingerprint);
+        prop_assert_eq!(doc.field("halted").unwrap(), &Json::Bool(true));
+        let dumped = doc.field("records").unwrap().as_arr("records").unwrap();
+        let pcs: Vec<(u64, u64)> = dumped
+            .iter()
+            .map(|r| (num_field(r, "pc"), num_field(r, "next_pc")))
+            .collect();
+        let expected: Vec<(u64, u64)> = records
+            .iter()
+            .map(|d| (d.pc.into(), d.next_pc.into()))
+            .collect();
+        prop_assert_eq!(pcs, expected);
     }
 
-    /// RTM snapshot round-trip, binary and JSON.
+    /// RTM snapshot round-trip through both binary frame encodings
+    /// (plain and compressed); the JSON dump of the same snapshot
+    /// carries its format tag, fingerprint, shape and trace count.
     #[test]
     fn snapshot_roundtrip_both_formats(
         traces in proptest::collection::vec(trace_record_strategy(), 0..32),
@@ -106,18 +125,41 @@ proptest! {
             m.source_run = fingerprint ^ 0x5a5a;
         }
 
-        let mut buf = Vec::new();
-        write_snapshot(&mut buf, fingerprint, &snapshot).unwrap();
-        let (fp, loaded) = read_snapshot(&mut buf.as_slice(), Some(fingerprint)).unwrap();
-        prop_assert_eq!(fp, fingerprint);
-        prop_assert_eq!(&loaded, &snapshot);
+        snapshot.shape = fingerprint.rotate_left(7);
+
+        for compress in [false, true] {
+            let mut buf = Vec::new();
+            let options = SnapshotWriteOptions { compress };
+            write_snapshot_with(&mut buf, fingerprint, &snapshot, options).unwrap();
+            let (fp, loaded) = read_snapshot(&mut buf.as_slice(), Some(fingerprint)).unwrap();
+            prop_assert_eq!(fp, fingerprint);
+            prop_assert_eq!(&loaded, &snapshot, "compress={}", compress);
+            prop_assert_eq!(loaded.shape, snapshot.shape);
+        }
 
         let path = temp_path("snap.json");
         save_snapshot(&path, fingerprint, &snapshot).unwrap();
-        let (fp, loaded) = load_snapshot(&path, Some(fingerprint)).unwrap();
-        prop_assert_eq!(fp, fingerprint);
-        prop_assert_eq!(&loaded, &snapshot);
+        let doc = parse_dump(&path);
+        prop_assert_eq!(str_field(&doc, "format"), "tlr-rtm-v1");
+        prop_assert_eq!(num_field(&doc, "fingerprint"), fingerprint);
+        prop_assert_eq!(num_field(&doc, "shape"), snapshot.shape);
+        prop_assert_eq!(
+            doc.field("traces").unwrap().as_arr("traces").unwrap().len(),
+            snapshot.len()
+        );
     }
+}
+
+fn parse_dump(path: &std::path::Path) -> Json {
+    json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+fn num_field(doc: &Json, key: &str) -> u64 {
+    doc.field(key).unwrap().as_u64(key).unwrap()
+}
+
+fn str_field<'a>(doc: &'a Json, key: &str) -> &'a str {
+    doc.field(key).unwrap().as_str(key).unwrap()
 }
 
 fn sample_stream_bytes(fingerprint: u64) -> Vec<u8> {
@@ -172,12 +214,71 @@ fn fingerprint_mismatch_rejected_across_formats() {
         })
     ));
 
-    let path = temp_path("fp.json");
-    save_trace(&path, 9, &[], false).unwrap();
+    let path = temp_path("fp.tlrsnap");
+    save_snapshot(
+        &path,
+        9,
+        &RtmSnapshot::from_traces(RtmConfig::RTM_512, Vec::new()),
+    )
+    .unwrap();
     assert!(matches!(
-        load_trace(&path, Some(10)),
-        Err(PersistError::FingerprintMismatch { .. })
+        load_snapshot(&path, Some(10)),
+        Err(PersistError::FingerprintMismatch {
+            found: 9,
+            expected: 10
+        })
     ));
+}
+
+/// JSON dumps are write-only: every load entry point refuses a `.json`
+/// path with the one named error, whatever the file holds.
+#[test]
+fn json_load_entry_points_name_the_write_only_dump() {
+    let snap = temp_path("write-only.json");
+    save_snapshot(
+        &snap,
+        9,
+        &RtmSnapshot::from_traces(RtmConfig::RTM_512, Vec::new()),
+    )
+    .unwrap();
+    let trace = temp_path("write-only-trace.json");
+    save_trace(&trace, 9, &[], true).unwrap();
+    let results: Vec<(&str, Result<(), PersistError>)> = vec![
+        ("load_snapshot", load_snapshot(&snap, None).map(drop)),
+        (
+            "load_snapshot_payload",
+            load_snapshot_payload(&snap, None).map(drop),
+        ),
+        (
+            "load_merged_snapshots",
+            load_merged_snapshots(&[&snap], None).map(drop),
+        ),
+        (
+            "peek_snapshot_fingerprint",
+            peek_snapshot_fingerprint(&snap).map(drop),
+        ),
+        (
+            "peek_snapshot_identity",
+            peek_snapshot_identity(&snap).map(drop),
+        ),
+        ("load_trace", load_trace(&trace, None).map(drop)),
+        (
+            "TraceReader::open",
+            TraceReader::open(&trace, None).map(drop),
+        ),
+    ];
+    for (entry, result) in results {
+        match result {
+            Err(e @ PersistError::JsonWriteOnly) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("write-only") && msg.contains("binary"),
+                    "{entry}: unhelpful error: {msg}"
+                );
+            }
+            other => panic!("{entry}: expected JsonWriteOnly, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Property tests for value-independent trace identity: the shape
 //! fingerprint, [`TraceKey`], the live-in value check at reuse time,
-//! and shape preservation through merge and both persist codecs.
+//! and shape preservation through merge, both binary frame encodings
+//! and the JSON debug dump.
 //!
 //! The invariant under test, end to end: *identity* (which program,
 //! which trace shape) is value-independent, while *validity* (may this
@@ -12,8 +13,11 @@
 use proptest::prelude::*;
 use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmConfig, RtmSnapshot, TraceRecord};
 use tlr_isa::Loc;
-use tlr_persist::snapshot::{read_snapshot, write_snapshot};
-use tlr_persist::{load_snapshot, program_fingerprint, program_shape_fingerprint, save_snapshot};
+use tlr_persist::json;
+use tlr_persist::snapshot::{read_snapshot, write_snapshot_with};
+use tlr_persist::{
+    program_fingerprint, program_shape_fingerprint, save_snapshot, SnapshotWriteOptions,
+};
 
 /// A minimal one-trace record with every live-in/live-out pinned to
 /// `v`-derived values: same code shape for every `v`.
@@ -139,8 +143,9 @@ proptest! {
     }
 
     /// The shape fingerprint survives the full persistence surface
-    /// under every replacement policy: merge (agreeing shapes), the
-    /// binary codec, and the JSON codec. Disagreeing shapes poison the
+    /// under every replacement policy: merge (agreeing shapes), both
+    /// binary frame encodings, and the JSON debug dump. Disagreeing
+    /// shapes poison the
     /// merge to 0 (value-pinned), and a 0 participant never vetoes.
     #[test]
     fn shape_survives_merge_and_both_codecs(
@@ -169,23 +174,26 @@ proptest! {
                 prop_assert_eq!(conflicted.shape, 0, "[{}] conflicting shapes not poisoned", policy);
             }
 
-            // Binary round-trip.
-            let mut bytes = Vec::new();
-            write_snapshot(&mut bytes, 0xfeed, &merged).unwrap();
-            let (_, loaded) = read_snapshot(&mut bytes.as_slice(), Some(0xfeed)).unwrap();
-            prop_assert_eq!(loaded.shape, shape_a, "[{}] binary codec lost the shape", policy);
-            prop_assert_eq!(&loaded, &merged);
+            // Binary round-trip, plain and compressed frames.
+            for compress in [false, true] {
+                let mut bytes = Vec::new();
+                let options = SnapshotWriteOptions { compress };
+                write_snapshot_with(&mut bytes, 0xfeed, &merged, options).unwrap();
+                let (_, loaded) = read_snapshot(&mut bytes.as_slice(), Some(0xfeed)).unwrap();
+                prop_assert_eq!(loaded.shape, shape_a, "[{}] binary codec lost the shape", policy);
+                prop_assert_eq!(&loaded, &merged);
+            }
 
-            // JSON round-trip (the debug format, selected by extension).
+            // The write-only JSON debug dump (selected by extension).
             let path = std::env::temp_dir().join(format!(
                 "tlr-prop-identity-{}.json",
                 std::process::id()
             ));
             save_snapshot(&path, 0xfeed, &merged).unwrap();
-            let (_, loaded) = load_snapshot(&path, Some(0xfeed)).unwrap();
+            let dump = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
             let _ = std::fs::remove_file(&path);
-            prop_assert_eq!(loaded.shape, shape_a, "[{}] JSON codec lost the shape", policy);
-            prop_assert_eq!(&loaded, &merged);
+            let dumped = dump.field("shape").unwrap().as_u64("shape").unwrap();
+            prop_assert_eq!(dumped, shape_a, "[{}] JSON dump lost the shape", policy);
         }
     }
 }

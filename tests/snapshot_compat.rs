@@ -1,22 +1,21 @@
-//! Snapshot format-version compatibility: v3 carries per-trace
-//! provenance, v4 appends a per-trace class mix, v2 files (written
-//! before either existed) must still load as zero-provenance state,
-//! and corrupt provenance or mixes — on the binary and the JSON path —
-//! must be rejected with a named error, never silently zeroed or
-//! misparsed.
+//! Snapshot format compatibility: this build reads exactly format
+//! v6, so every other version is refused by name, and a v6 frame
+//! (record, then per-trace provenance, then per-trace class mix) with a
+//! missing, truncated or surplus part is rejected with a named error,
+//! never silently zeroed or misparsed.
 //!
-//! The v2/v3 writer here is hand-rolled byte-for-byte from the
-//! historical layouts (header, geometry prelude, checksummed record
-//! frames, trailer), so these tests keep failing loudly if the reader
-//! ever drops old-version support by accident.
+//! The writer here is hand-rolled byte-for-byte from the v6 layout
+//! (header, geometry + shape prelude, checksummed frames, trailer) and
+//! pinned to the real writer by `hand_rolled_layout_matches_the_writer`,
+//! so the corrupt frames below differ from a real file only where each
+//! test says. Test names keep the version that introduced the frame
+//! part they probe: provenance arrived in v3, the class mix in v4.
 
 use std::hash::Hasher;
 use std::path::PathBuf;
-use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmConfig, TraceRecord};
+use tlr_core::{ReuseTraceMemory, RtmConfig, TraceRecord};
 use tlr_isa::Loc;
-use tlr_persist::{
-    load_snapshot, save_snapshot, PersistError, FORMAT_VERSION, MIN_SUPPORTED_VERSION,
-};
+use tlr_persist::{load_snapshot, save_snapshot, PersistError, FORMAT_VERSION};
 use tlr_util::fxhash::FxHasher64;
 use trace_reuse::prelude::*;
 
@@ -37,7 +36,7 @@ fn rec(pc: u32, v: u64) -> TraceRecord {
     }
 }
 
-// ---- a byte-level writer for historical format versions -------------------
+// ---- a byte-level writer for the v6 layout --------------------------------
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -80,16 +79,35 @@ fn encode_record(rec: &TraceRecord) -> Vec<u8> {
     out
 }
 
-/// Serialize a snapshot file of the given header `version` from raw
-/// per-trace frame payloads (checksum and trailer computed the way the
-/// reader expects them).
-fn encode_snapshot_file(version: u16, fingerprint: u64, frames: &[Vec<u8>]) -> Vec<u8> {
+/// Record followed by its 24-byte provenance: a frame missing its mix.
+fn encode_record_and_meta(rec: &TraceRecord, meta: &TraceMeta) -> Vec<u8> {
+    let mut frame = encode_record(rec);
+    put_u64(&mut frame, meta.hits);
+    put_u64(&mut frame, meta.last_use);
+    put_u64(&mut frame, meta.source_run);
+    frame
+}
+
+/// A complete v6 frame: record, provenance, lane-count-prefixed mix.
+fn encode_frame(rec: &TraceRecord, meta: &TraceMeta) -> Vec<u8> {
+    let mut frame = encode_record_and_meta(rec, meta);
+    frame.push(tlr_isa::OpClass::COUNT as u8);
+    for (_, count) in rec.mix.iter() {
+        put_u32(&mut frame, count);
+    }
+    frame
+}
+
+/// Serialize an uncompressed full snapshot file with the given header
+/// `version` from raw per-trace frame payloads (v6 prelude; checksum
+/// and trailer computed the way the reader expects them).
+fn encode_snapshot_file(version: u16, fingerprint: u64, shape: u64, frames: &[Vec<u8>]) -> Vec<u8> {
     let geometry = RtmConfig::RTM_512.geometry;
     let mut out = Vec::new();
     out.extend_from_slice(b"TLRP");
     put_u16(&mut out, version);
     out.push(2); // kind: RTM snapshot
-    out.push(0); // reserved
+    out.push(0); // flags: uncompressed full snapshot
     put_u64(&mut out, fingerprint);
 
     let mut prelude = Vec::new();
@@ -97,6 +115,7 @@ fn encode_snapshot_file(version: u16, fingerprint: u64, frames: &[Vec<u8>]) -> V
     put_u32(&mut prelude, geometry.ways);
     put_u32(&mut prelude, geometry.per_pc);
     put_u64(&mut prelude, frames.len() as u64);
+    put_u64(&mut prelude, shape);
     out.extend_from_slice(&prelude);
 
     let mut checksum = FxHasher64::new();
@@ -112,39 +131,50 @@ fn encode_snapshot_file(version: u16, fingerprint: u64, frames: &[Vec<u8>]) -> V
     out
 }
 
-// ---- version compatibility ------------------------------------------------
-
-#[test]
-fn v2_snapshot_loads_as_zero_provenance() {
-    assert_eq!(MIN_SUPPORTED_VERSION, 2);
-    let records = [rec(8, 1), rec(16, 2), rec(24, 3)];
-    let frames: Vec<Vec<u8>> = records.iter().map(encode_record).collect();
-    let bytes = encode_snapshot_file(2, 77, &frames);
-    let path = temp_path("v2.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let (fp, snapshot) = load_snapshot(&path, Some(77)).expect("v2 snapshot must still load");
-    assert_eq!(fp, 77);
-    assert_eq!(snapshot.traces, records.to_vec());
-    assert_eq!(snapshot.meta.len(), snapshot.traces.len());
-    assert!(
-        snapshot.meta.iter().all(|m| *m == TraceMeta::default()),
-        "v2 snapshots carry no provenance; loading must zero it"
-    );
-    assert_eq!(snapshot.total_hits(), 0);
-
-    // A v2 pool still warm-starts and merges under every policy.
-    for policy in ReplacementPolicy::ALL {
-        let merged = RtmSnapshot::merge_with(&[snapshot.clone(), snapshot.clone()], policy)
-            .expect("v2 state must merge");
-        assert_eq!(merged.len(), 3, "{policy}");
-        assert_eq!(
-            ReuseTraceMemory::import_with(&merged, policy).resident(),
-            3,
-            "{policy}"
-        );
+/// Write `frames` as a v6 file and expect the load to fail with a
+/// `Corrupt` error mentioning `needle`.
+fn expect_corrupt(name: &str, frames: &[Vec<u8>], needle: &str) {
+    let path = temp_path(name);
+    std::fs::write(&path, encode_snapshot_file(FORMAT_VERSION, 1, 0, frames)).unwrap();
+    match load_snapshot(&path, None) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert!(msg.contains(needle), "{name}: unhelpful error: {msg}")
+        }
+        other => panic!("{name}: expected Corrupt({needle}), got {other:?}"),
     }
 }
+
+#[test]
+fn hand_rolled_layout_matches_the_writer() {
+    let mut counts = [0u32; tlr_isa::OpClass::COUNT];
+    counts[tlr_isa::OpClass::Load.index()] = 2;
+    let mut snapshot = RtmSnapshot::from_traces(
+        RtmConfig::RTM_512,
+        vec![
+            TraceRecord {
+                mix: tlr_isa::ClassMix::from_counts(counts),
+                ..rec(8, 1)
+            },
+            rec(16, 2),
+        ],
+    );
+    snapshot.meta[0].hits = 5;
+    snapshot.meta[1].source_run = 9001;
+    snapshot.shape = 0x5a5e;
+    let path = temp_path("layout.tlrsnap");
+    save_snapshot(&path, 77, &snapshot).unwrap();
+    let frames: Vec<Vec<u8>> = snapshot
+        .entries()
+        .map(|(t, m)| encode_frame(t, &m))
+        .collect();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        encode_snapshot_file(FORMAT_VERSION, 77, 0x5a5e, &frames),
+        "the v6 writer drifted from the documented layout"
+    );
+}
+
+// ---- version compatibility ------------------------------------------------
 
 #[test]
 fn v3_roundtrip_preserves_provenance_on_disk() {
@@ -165,25 +195,26 @@ fn v3_roundtrip_preserves_provenance_on_disk() {
     let snapshot = rtm.export();
     assert_eq!(snapshot.total_hits(), 4);
 
-    for name in ["v3.tlrsnap", "v3.json"] {
-        let path = temp_path(name);
-        save_snapshot(&path, 5, &snapshot).unwrap();
-        let (_, loaded) = load_snapshot(&path, Some(5)).unwrap();
-        assert_eq!(loaded, snapshot, "{name}: provenance lost");
-        assert_eq!(loaded.total_hits(), 4, "{name}");
-        assert!(
-            loaded.meta.iter().all(|m| m.source_run == 9001),
-            "{name}: source run lost"
-        );
-    }
+    let path = temp_path("v3.tlrsnap");
+    save_snapshot(&path, 5, &snapshot).unwrap();
+    let (_, loaded) = load_snapshot(&path, Some(5)).unwrap();
+    assert_eq!(loaded, snapshot, "provenance lost");
+    assert_eq!(loaded.total_hits(), 4);
+    assert!(
+        loaded.meta.iter().all(|m| m.source_run == 9001),
+        "source run lost"
+    );
 }
 
 #[test]
 fn v1_and_future_versions_rejected_with_named_error() {
-    for version in [1u16, FORMAT_VERSION + 1] {
-        let bytes = encode_snapshot_file(version, 1, &[encode_record(&rec(8, 1))]);
+    // Exactly one version is read: every older one and the next one are
+    // refused by name, before any of the body is parsed.
+    assert_eq!(FORMAT_VERSION, 6);
+    let frames = [encode_frame(&rec(8, 1), &TraceMeta::default())];
+    for version in [1u16, 2, 3, 4, 5, 7] {
         let path = temp_path(&format!("v{version}.tlrsnap"));
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&path, encode_snapshot_file(version, 1, 0, &frames)).unwrap();
         match load_snapshot(&path, None) {
             Err(PersistError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, version);
@@ -198,76 +229,27 @@ fn v1_and_future_versions_rejected_with_named_error() {
 
 #[test]
 fn v3_frame_without_provenance_rejected() {
-    // Header says v3, but the frames are v2-shaped (record only): the
-    // reader must name the missing provenance, not misparse I/O pairs.
+    // Record only: the reader must name the missing provenance, not
+    // misparse the next bytes.
     let frames: Vec<Vec<u8>> = [rec(8, 1), rec(16, 2)].iter().map(encode_record).collect();
-    let bytes = encode_snapshot_file(3, 1, &frames);
-    let path = temp_path("v3-no-meta.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("provenance"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(provenance), got {other:?}"),
-    }
+    expect_corrupt("no-meta.tlrsnap", &frames, "provenance");
 }
 
 #[test]
 fn v3_frame_with_truncated_provenance_rejected() {
     let mut frame = encode_record(&rec(8, 1));
-    // 16 of the 24 provenance bytes: parseable as neither v2 nor v3.
-    frame.extend_from_slice(&[0u8; 16]);
-    let bytes = encode_snapshot_file(3, 1, &[frame]);
-    let path = temp_path("v3-short-meta.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("provenance"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(provenance), got {other:?}"),
-    }
+    frame.extend_from_slice(&[0u8; 16]); // 16 of the 24 provenance bytes
+    expect_corrupt("short-meta.tlrsnap", &[frame], "provenance");
 }
 
 #[test]
 fn v3_frame_with_stray_bytes_after_provenance_rejected() {
-    let mut frame = encode_record(&rec(8, 1));
-    frame.extend_from_slice(&[0u8; 24]); // valid zero provenance
+    let mut frame = encode_frame(&rec(8, 1), &TraceMeta::default());
     frame.extend_from_slice(&[0xab; 5]); // trailing garbage
-    let bytes = encode_snapshot_file(3, 1, &[frame]);
-    let path = temp_path("v3-stray.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("stray bytes"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(stray bytes), got {other:?}"),
-    }
+    expect_corrupt("stray.tlrsnap", &[frame], "stray bytes");
 }
 
-// ---- class mixes (v4) -----------------------------------------------------
-
-/// A v3-shaped frame: record followed by zeroed provenance, no mix.
-fn encode_v3_frame(rec: &TraceRecord) -> Vec<u8> {
-    let mut frame = encode_record(rec);
-    frame.extend_from_slice(&[0u8; 24]);
-    frame
-}
-
-#[test]
-fn v3_snapshot_loads_as_empty_mix() {
-    let records = [rec(8, 1), rec(16, 2)];
-    let frames: Vec<Vec<u8>> = records.iter().map(encode_v3_frame).collect();
-    let bytes = encode_snapshot_file(3, 42, &frames);
-    let path = temp_path("v3-no-mix.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    let (fp, snapshot) = load_snapshot(&path, Some(42)).expect("v3 snapshot must still load");
-    assert_eq!(fp, 42);
-    assert_eq!(snapshot.traces, records.to_vec());
-    assert!(
-        snapshot.traces.iter().all(|t| t.mix.is_empty()),
-        "v3 snapshots carry no class mix; loading must leave it empty"
-    );
-}
+// ---- class mixes ----------------------------------------------------------
 
 #[test]
 fn v4_roundtrip_preserves_mix_on_disk() {
@@ -280,113 +262,40 @@ fn v4_roundtrip_preserves_mix_on_disk() {
     rtm.insert(rec(16, 2));
     let snapshot = rtm.export();
 
-    for name in ["v4.tlrsnap", "v4.json"] {
-        let path = temp_path(name);
-        save_snapshot(&path, 5, &snapshot).unwrap();
-        let (_, loaded) = load_snapshot(&path, Some(5)).unwrap();
-        assert_eq!(loaded, snapshot, "{name}");
-        // Trace identity ignores the mix, so check it explicitly.
-        let by_pc = |s: &RtmSnapshot, pc| s.traces.iter().find(|t| t.start_pc == pc).unwrap().mix;
-        assert_eq!(by_pc(&loaded, 8), mix, "{name}: class mix lost");
-        assert!(by_pc(&loaded, 16).is_empty(), "{name}");
-    }
+    let path = temp_path("v4.tlrsnap");
+    save_snapshot(&path, 5, &snapshot).unwrap();
+    let (_, loaded) = load_snapshot(&path, Some(5)).unwrap();
+    assert_eq!(loaded, snapshot);
+    // Trace identity ignores the mix, so check it explicitly.
+    let by_pc = |s: &RtmSnapshot, pc| s.traces.iter().find(|t| t.start_pc == pc).unwrap().mix;
+    assert_eq!(by_pc(&loaded, 8), mix, "class mix lost");
+    assert!(by_pc(&loaded, 16).is_empty());
 }
 
 #[test]
 fn v4_frame_without_mix_rejected() {
-    // Header says v4, frames are v3-shaped: the reader must name the
-    // missing mix rather than misparse the next frame's length prefix.
-    let bytes = encode_snapshot_file(4, 1, &[encode_v3_frame(&rec(8, 1))]);
-    let path = temp_path("v4-no-mix.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("class mix"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(class mix), got {other:?}"),
-    }
+    // Record and provenance, no mix: the reader must name the missing
+    // mix rather than misparse the next frame's length prefix.
+    let frame = encode_record_and_meta(&rec(8, 1), &TraceMeta::default());
+    expect_corrupt("no-mix.tlrsnap", &[frame], "class mix");
 }
 
 #[test]
 fn v4_frame_with_truncated_mix_rejected() {
-    let mut frame = encode_v3_frame(&rec(8, 1));
+    let mut frame = encode_record_and_meta(&rec(8, 1), &TraceMeta::default());
     frame.push(tlr_isa::OpClass::COUNT as u8);
     put_u32(&mut frame, 3); // one lane of eleven
-    let bytes = encode_snapshot_file(4, 1, &[frame]);
-    let path = temp_path("v4-short-mix.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(msg.contains("class mix"), "unhelpful error: {msg}")
-        }
-        other => panic!("expected Corrupt(class mix), got {other:?}"),
-    }
+    expect_corrupt("short-mix.tlrsnap", &[frame], "class mix");
 }
 
 #[test]
 fn v4_frame_with_wrong_class_count_rejected() {
     // A file written by a build with a different ISA class list must be
     // refused, not reinterpreted lane-by-lane.
-    let mut frame = encode_v3_frame(&rec(8, 1));
+    let mut frame = encode_record_and_meta(&rec(8, 1), &TraceMeta::default());
     frame.push(7);
     for _ in 0..7 {
         put_u32(&mut frame, 0);
     }
-    let bytes = encode_snapshot_file(4, 1, &[frame]);
-    let path = temp_path("v4-wrong-lanes.tlrsnap");
-    std::fs::write(&path, &bytes).unwrap();
-    match load_snapshot(&path, None) {
-        Err(PersistError::Corrupt(msg)) => {
-            assert!(
-                msg.contains("instruction classes"),
-                "unhelpful error: {msg}"
-            )
-        }
-        other => panic!("expected Corrupt(instruction classes), got {other:?}"),
-    }
-}
-
-#[test]
-fn json_corrupt_provenance_rejected() {
-    let snapshot = {
-        let mut rtm = ReuseTraceMemory::new(RtmConfig::RTM_512);
-        rtm.insert(rec(8, 1));
-        rtm.export()
-    };
-    let path = temp_path("meta-fuzz.json");
-    save_snapshot(&path, 3, &snapshot).unwrap();
-    let good = std::fs::read_to_string(&path).unwrap();
-    assert!(good.contains("\"meta\""), "JSON dump lost its meta field");
-
-    // Each mutation corrupts only the provenance object.
-    for (tag, find, replace) in [
-        ("type", "\"hits\": 0", "\"hits\": \"lots\""),
-        ("missing-key", "\"hits\"", "\"hitz\""),
-        (
-            "shape",
-            "{\n        \"hits\": 0,",
-            "[\n        {\"hits\": 0,",
-        ),
-    ] {
-        assert!(good.contains(find), "{tag}: fixture drifted ({find:?})");
-        let bad = good.replacen(find, replace, 1);
-        std::fs::write(&path, &bad).unwrap();
-        assert!(
-            load_snapshot(&path, None).is_err(),
-            "{tag}: corrupt provenance accepted"
-        );
-    }
-
-    // Removing the whole meta object is *legal* — that is exactly what
-    // a pre-v3 JSON dump looks like — and loads as zero provenance.
-    // In the sorted pretty layout "meta" is a mid-object field: strip
-    // from `"meta": {` through its closing `},` inclusive.
-    let start = good.find("\"meta\"").expect("meta field present");
-    let end = start + good[start..].find('}').expect("meta closes") + 1;
-    let tail = good[end..].strip_prefix(',').expect("meta is mid-object");
-    let stripped = format!("{}{}", &good[..start].trim_end(), tail.trim_start());
-    std::fs::write(&path, &stripped).unwrap();
-    let (_, loaded) = load_snapshot(&path, None).expect("meta-less JSON must load");
-    assert_eq!(loaded.total_hits(), 0);
-    assert_eq!(loaded.traces, snapshot.traces);
+    expect_corrupt("wrong-lanes.tlrsnap", &[frame], "instruction classes");
 }

@@ -2,7 +2,8 @@
 //! damaged snapshot files — oversized geometry, zero-length traces,
 //! cap-busting I/O lists, random bit flips — must be rejected with a
 //! descriptive `PersistError`, never imported (and never allowed to
-//! trigger a huge allocation), on both the binary and JSON formats.
+//! trigger a huge allocation), in both binary frame encodings (plain
+//! and run-length compressed).
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -12,7 +13,7 @@ use tlr_persist::snapshot::{
     write_snapshot, MAX_GEOMETRY_CAPACITY, MAX_GEOMETRY_PER_PC, MAX_GEOMETRY_SETS,
     MAX_GEOMETRY_WAYS, SNAPSHOT_IO_CAPS,
 };
-use tlr_persist::{load_snapshot, save_snapshot, PersistError};
+use tlr_persist::{load_snapshot, save_snapshot_with, PersistError, SnapshotWriteOptions};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("tlr-snapshot-fuzz");
@@ -44,15 +45,16 @@ fn well_formed_snapshot() -> RtmSnapshot {
     snapshot
 }
 
-/// Writer for hostile content: `write_snapshot`/`save_snapshot`
+/// Writer for hostile content: `write_snapshot`/`save_snapshot_with`
 /// serialize whatever struct they are given without validation, which
-/// is exactly what a hostile producer would do.
-fn save_both_formats(name: &str, snapshot: &RtmSnapshot) -> (PathBuf, PathBuf) {
-    let bin = temp_path(&format!("{name}.tlrsnap"));
-    let json = temp_path(&format!("{name}.json"));
-    save_snapshot(&bin, 1, snapshot).unwrap();
-    save_snapshot(&json, 1, snapshot).unwrap();
-    (bin, json)
+/// is exactly what a hostile producer would do. Returns the plain and
+/// the compressed file.
+fn save_both_encodings(name: &str, snapshot: &RtmSnapshot) -> [PathBuf; 2] {
+    [false, true].map(|compress| {
+        let path = temp_path(&format!("{name}-{compress}.tlrsnap"));
+        save_snapshot_with(&path, 1, snapshot, SnapshotWriteOptions { compress }).unwrap();
+        path
+    })
 }
 
 fn expect_corrupt(path: &Path, needle: &str) {
@@ -93,9 +95,9 @@ fn oversized_geometry_rejected_without_allocation() {
                 "test geometry must bust the total capacity bound"
             );
         }
-        let (bin, json) = save_both_formats(&format!("geom-{tag}"), &snapshot);
-        expect_corrupt(&bin, "oversized");
-        expect_corrupt(&json, "oversized");
+        for path in save_both_encodings(&format!("geom-{tag}"), &snapshot) {
+            expect_corrupt(&path, "oversized");
+        }
     }
 }
 
@@ -103,9 +105,9 @@ fn oversized_geometry_rejected_without_allocation() {
 fn zero_length_trace_rejected() {
     let mut snapshot = well_formed_snapshot();
     snapshot.traces[5].len = 0;
-    let (bin, json) = save_both_formats("zero-len", &snapshot);
-    expect_corrupt(&bin, "zero instructions");
-    expect_corrupt(&json, "zero instructions");
+    for path in save_both_encodings("zero-len", &snapshot) {
+        expect_corrupt(&path, "zero instructions");
+    }
 }
 
 #[test]
@@ -129,9 +131,9 @@ fn cap_busting_io_lists_rejected() {
         } else {
             snapshot.traces[0].outs = list;
         }
-        let (bin, json) = save_both_formats(&format!("caps-{tag}"), &snapshot);
-        expect_corrupt(&bin, "load caps");
-        expect_corrupt(&json, "load caps");
+        for path in save_both_encodings(&format!("caps-{tag}"), &snapshot) {
+            expect_corrupt(&path, "load caps");
+        }
     }
 }
 
