@@ -25,14 +25,11 @@
 //! data-dependent traces must be rejected by the live-in value check
 //! at reuse time, never replayed into the wrong state.
 
-use crate::harness::{pool_run, HarnessConfig};
-use crate::policy::state_digest;
+use crate::harness::{against_plain_vm, pool_run, HarnessConfig};
 use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, RtmSnapshot, TraceReuseEngine};
-use tlr_isa::NullSink;
 use tlr_persist::snapshot::{read_snapshot, write_snapshot};
 use tlr_persist::{program_fingerprint, program_shape_fingerprint};
 use tlr_stats::Table;
-use tlr_vm::Vm;
 
 /// Data seeds per workload: one subject plus the donors it pools.
 pub const SEEDS: usize = 3;
@@ -61,14 +58,6 @@ pub struct CrossSeedCell {
     /// All three runs ended in exactly the architectural state plain
     /// execution of the same dynamic instruction count produces.
     pub digest_ok: bool,
-}
-
-/// Plain-VM digest after exactly `total` dynamic instructions.
-fn baseline_digest(prog: &tlr_asm::Program, total: u64) -> u64 {
-    let mut vm = Vm::new(prog);
-    vm.run(total, &mut NullSink)
-        .unwrap_or_else(|e| panic!("baseline vm error: {e}"));
-    state_digest(&vm)
 }
 
 /// Run the cross-seed comparison over every workload, in parallel.
@@ -117,7 +106,7 @@ pub fn run_crossseed(
         let shape_preserved = merged.shape == shape && donors.iter().all(|d| d.shape == shape);
         let donor_traces = merged.len();
 
-        let run = |warm: Option<&RtmSnapshot>| -> (EngineStats, u64, bool) {
+        let run = |warm: Option<&RtmSnapshot>| -> (EngineStats, bool) {
             let mut engine = match warm {
                 Some(snapshot) => TraceReuseEngine::new_warm(&subject, config, snapshot),
                 None => TraceReuseEngine::new(&subject, config),
@@ -125,11 +114,10 @@ pub fn run_crossseed(
             let stats = engine
                 .run(cfg.budget)
                 .unwrap_or_else(|e| panic!("{}: subject engine error: {e}", w.name));
-            let ok = state_digest(engine.vm()) == baseline_digest(&subject, stats.total());
-            (stats, engine.rtm().stats().value_rejects, ok)
+            (stats, against_plain_vm(&subject, &engine).digest_ok)
         };
 
-        let (cold, _, cold_ok) = run(None);
+        let (cold, cold_ok) = run(None);
         let solo_snapshot = {
             let mut engine = TraceReuseEngine::new(&subject, config);
             engine
@@ -139,8 +127,9 @@ pub fn run_crossseed(
                 .export_rtm()
                 .expect("value-comparison backend snapshots")
         };
-        let (solo_warm, _, solo_ok) = run(Some(&solo_snapshot));
-        let (cross_warm, value_rejects, cross_ok) = run(Some(&merged));
+        let (solo_warm, solo_ok) = run(Some(&solo_snapshot));
+        let (cross_warm, cross_ok) = run(Some(&merged));
+        let value_rejects = cross_warm.rtm.value_rejects;
 
         CrossSeedCell {
             name: w.name,

@@ -22,17 +22,9 @@
 //!
 //! The merged snapshot round-trips through the `tlr-persist` binary
 //! codec in memory, so the comparison also exercises snapshot
-//! validation on real merged state.
-//!
-//! Two execution shapes produce the same cells: the default
-//! [`FleetExecution::Batched`] drives every fleet member as a
-//! [`BatchRunner`] instance in this process (two batch phases: all cold
-//! producers, then — after merging — all warm consumers), while
-//! [`FleetExecution::Pooled`] keeps the legacy shape of one reference
-//! engine per worker-pool task. Reuse decisions are substrate-
-//! independent, so both shapes must report identical statistics.
+//! validation on real merged state. Each workload is one task of the
+//! harness worker pool.
 
-use crate::batch::{BatchRunner, BatchSpec, Schedule};
 use crate::harness::{pool_run, HarnessConfig};
 use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, RtmSnapshot, TraceReuseEngine};
 use tlr_persist::program_fingerprint;
@@ -66,44 +58,14 @@ pub struct FleetCell {
     pub conflicts: u64,
 }
 
-/// How the fleet's member runs are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FleetExecution {
-    /// All member runs batched in this process on the fast substrate
-    /// (the default): one [`BatchRunner`] for every cold producer, a
-    /// second for every warm consumer.
-    Batched(Schedule),
-    /// Legacy shape: one engine per worker-pool task, as the
-    /// per-process drivers did.
-    Pooled,
-}
-
-impl Default for FleetExecution {
-    fn default() -> Self {
-        FleetExecution::Batched(Schedule::RunToCompletion)
-    }
-}
-
-impl FleetExecution {
-    /// Stable label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            FleetExecution::Batched(Schedule::RunToCompletion) => "batched",
-            FleetExecution::Batched(Schedule::RoundRobin { .. }) => "batched/rr",
-            FleetExecution::Pooled => "pooled",
-        }
-    }
-}
-
 /// Merge two cold snapshots and round-trip the result through the
 /// `tlr-persist` binary codec, as the registry's disk path would.
 fn merge_and_roundtrip(
     name: &str,
     prog: &tlr_asm::Program,
-    snap_a: RtmSnapshot,
-    snap_b: RtmSnapshot,
+    snapshots: &[RtmSnapshot],
 ) -> (RtmSnapshot, usize, u64) {
-    let outcome = RtmSnapshot::merge_detailed(&[snap_a, snap_b])
+    let outcome = RtmSnapshot::merge_detailed(snapshots)
         .unwrap_or_else(|e| panic!("{name}: merge error: {e}"));
     let fingerprint = program_fingerprint(prog);
     let mut bytes = Vec::new();
@@ -114,89 +76,8 @@ fn merge_and_roundtrip(
     (merged, outcome.input_traces, outcome.conflicts)
 }
 
-/// Run the fleet comparison over every workload with the default
-/// in-process batched execution.
+/// Run the fleet comparison over every workload, in parallel.
 pub fn run_fleet(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
-    run_fleet_with(cfg, rtm, FleetExecution::default())
-}
-
-/// Run the fleet comparison under an explicit execution shape.
-pub fn run_fleet_with(
-    cfg: &HarnessConfig,
-    rtm: RtmConfig,
-    execution: FleetExecution,
-) -> Vec<FleetCell> {
-    match execution {
-        FleetExecution::Batched(schedule) => run_fleet_batched(cfg, rtm, schedule),
-        FleetExecution::Pooled => run_fleet_pooled(cfg, rtm),
-    }
-}
-
-/// The batched shape: every cold producer in one [`BatchRunner`], every
-/// warm consumer in a second, with the merges in between.
-fn run_fleet_batched(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) -> Vec<FleetCell> {
-    let workloads = tlr_workloads::all();
-
-    let mut cold = BatchRunner::new(schedule);
-    for w in &workloads {
-        for (tag, heuristic) in [("A", FLEET_COLD_A), ("B", FLEET_COLD_B)] {
-            cold.push(BatchSpec::new(
-                format!("{}/{tag}", w.name),
-                w.program(cfg.seed),
-                EngineConfig::paper(rtm, heuristic),
-                cfg.budget,
-            ));
-        }
-    }
-    let mut cold_out = cold
-        .run()
-        .unwrap_or_else(|e| panic!("fleet cold batch: {e}"))
-        .into_iter();
-
-    let warm_config = EngineConfig::paper(rtm, FLEET_WARM);
-    let mut warm = BatchRunner::new(schedule);
-    let mut merges = Vec::with_capacity(workloads.len());
-    for w in &workloads {
-        let snap_a = cold_out.next().expect("cold outcome A").snapshot;
-        let snap_b = cold_out.next().expect("cold outcome B").snapshot;
-        let prog = w.program(cfg.seed);
-        let (merged, input_traces, conflicts) =
-            merge_and_roundtrip(w.name, &prog, snap_a.clone(), snap_b.clone());
-        merges.push((w.name, merged.traces.len(), input_traces, conflicts));
-        for (tag, snapshot) in [("a", snap_a), ("b", snap_b), ("merged", merged)] {
-            warm.push(
-                BatchSpec::new(
-                    format!("{}/warm-{tag}", w.name),
-                    w.program(cfg.seed),
-                    warm_config,
-                    cfg.budget,
-                )
-                .with_warm(snapshot),
-            );
-        }
-    }
-    let mut warm_out = warm
-        .run()
-        .unwrap_or_else(|e| panic!("fleet warm batch: {e}"))
-        .into_iter();
-
-    let mut next_stats = || -> EngineStats { warm_out.next().expect("warm outcome").stats };
-    merges
-        .into_iter()
-        .map(|(name, merged_traces, input_traces, conflicts)| FleetCell {
-            name,
-            warm_a: next_stats(),
-            warm_b: next_stats(),
-            warm_merged: next_stats(),
-            merged_traces,
-            input_traces,
-            conflicts,
-        })
-        .collect()
-}
-
-/// The legacy shape: one engine per worker-pool task.
-fn run_fleet_pooled(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
     let workloads = tlr_workloads::all();
     let threads = cfg.effective_threads(workloads.len());
     pool_run(threads, workloads, |w| {
@@ -210,11 +91,8 @@ fn run_fleet_pooled(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
                 .export_rtm()
                 .expect("value-comparison backend snapshots")
         };
-        let snap_a = snap_of(FLEET_COLD_A);
-        let snap_b = snap_of(FLEET_COLD_B);
-
-        let (merged, input_traces, conflicts) =
-            merge_and_roundtrip(w.name, &prog, snap_a.clone(), snap_b.clone());
+        let cold = [snap_of(FLEET_COLD_A), snap_of(FLEET_COLD_B)];
+        let (merged, input_traces, conflicts) = merge_and_roundtrip(w.name, &prog, &cold);
 
         let warm_config = EngineConfig::paper(rtm, FLEET_WARM);
         let warm_run = |snapshot: &RtmSnapshot| -> EngineStats {
@@ -224,8 +102,8 @@ fn run_fleet_pooled(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
         };
         FleetCell {
             name: w.name,
-            warm_a: warm_run(&snap_a),
-            warm_b: warm_run(&snap_b),
+            warm_a: warm_run(&cold[0]),
+            warm_b: warm_run(&cold[1]),
             warm_merged: warm_run(&merged),
             merged_traces: merged.traces.len(),
             input_traces,
@@ -339,26 +217,5 @@ mod tests {
         }
         let table = fleet_table(&cells);
         assert_eq!(table.len(), cells.len() + 1);
-    }
-
-    #[test]
-    fn batched_and_pooled_fleets_report_identical_statistics() {
-        let cfg = HarnessConfig {
-            budget: 15_000,
-            ..HarnessConfig::quick()
-        };
-        let batched = run_fleet_with(&cfg, RtmConfig::RTM_32K, FleetExecution::default());
-        let pooled = run_fleet_with(&cfg, RtmConfig::RTM_32K, FleetExecution::Pooled);
-        assert_eq!(batched.len(), pooled.len());
-        for (b, p) in batched.iter().zip(&pooled) {
-            assert_eq!(b.name, p.name);
-            // Reuse decisions are schedule-independent: the batched
-            // members must mirror the pooled engines exactly.
-            assert_eq!(b.warm_a, p.warm_a, "{}", b.name);
-            assert_eq!(b.warm_b, p.warm_b, "{}", b.name);
-            assert_eq!(b.warm_merged, p.warm_merged, "{}", b.name);
-            assert_eq!(b.merged_traces, p.merged_traces, "{}", b.name);
-            assert_eq!(b.conflicts, p.conflicts, "{}", b.name);
-        }
     }
 }

@@ -6,11 +6,13 @@
 //! joins everything before results are read.
 
 use std::sync::Mutex;
+use tlr_asm::Program;
 use tlr_core::{
     EngineConfig, EngineStats, Heuristic, LimitConfig, LimitResult, LimitStudySink, RtmConfig,
+    TraceReuseEngine,
 };
 use tlr_isa::Alpha21164;
-use tlr_vm::Vm;
+use tlr_vm::{FastStep, RunOutcome, Vm};
 use tlr_workloads::{PaperRefs, Suite, Workload};
 
 /// Harness configuration.
@@ -94,6 +96,33 @@ pub(crate) fn pool_run<T: Send, R: Send>(
         .into_iter()
         .map(|s| s.expect("worker filled slot"))
         .collect()
+}
+
+/// How an engine run compares with plain execution of exactly its
+/// progress ([`against_plain_vm`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlainCheck {
+    /// The engine ended in plain execution's architectural state.
+    pub digest_ok: bool,
+    /// Plain execution ran all `stats.total()` instructions and, if the
+    /// engine halted, stands at the `halt`.
+    pub counts_ok: bool,
+}
+
+/// Check an engine run against plain execution of exactly its progress
+/// on [`Vm::run_fast`]: reuse must never change architectural state,
+/// nor the instruction count or halt it reaches.
+pub fn against_plain_vm(prog: &Program, engine: &TraceReuseEngine) -> PlainCheck {
+    let stats = engine.stats();
+    let mut vm = Vm::new(prog);
+    let executed = vm.run_fast(stats.total()).map(RunOutcome::executed);
+    let digest_ok = vm.state_digest() == engine.vm().state_digest();
+    // Probed after the digest: a step past a non-halt executes.
+    let at_halt = matches!(vm.step_fast(), Ok(FastStep::Halted));
+    PlainCheck {
+        digest_ok,
+        counts_ok: executed == Ok(stats.total()) && (at_halt || !stats.halted),
+    }
 }
 
 /// Run the combined limit study over every workload, in parallel.

@@ -19,29 +19,20 @@
 //! Replacement never touches the reuse *test*, so every configuration
 //! must leave the architecture exactly where plain execution leaves it.
 //! Each engine run is checked against a fresh plain-VM run of the same
-//! dynamic instruction count ([`PolicyCell::state_ok`]); `--check` turns
-//! any mismatch into a nonzero exit.
+//! dynamic instruction count ([`against_plain_vm`],
+//! [`PolicyCell::state_ok`]); `--check` turns any mismatch into a
+//! nonzero exit.
 //!
 //! [`Attribution::class_weights`]: tlr_decant::Attribution::class_weights
 
 use crate::fleet::{FLEET_COLD_A, FLEET_COLD_B, FLEET_WARM};
-use crate::harness::{pool_run, HarnessConfig};
+use crate::harness::{against_plain_vm, pool_run, HarnessConfig};
 use tlr_core::{
     ClassWeights, EngineConfig, EngineStats, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot,
     TraceReuseEngine,
 };
-use tlr_isa::{Alpha21164, NullSink};
+use tlr_isa::Alpha21164;
 use tlr_stats::Table;
-use tlr_vm::Vm;
-
-/// Full-architectural-state digest: every register (integer and FP) and
-/// every initialized memory word, in a canonical order. Now provided by
-/// the VM itself ([`Vm::state_digest`]) so the CLI and the daemon gate
-/// share the exact same equality token; kept here as an alias for the
-/// bench API.
-pub fn state_digest(vm: &Vm) -> u64 {
-    vm.state_digest()
-}
 
 /// One workload × policy outcome.
 pub struct PolicyCell {
@@ -62,14 +53,6 @@ pub struct PolicyCell {
     /// state plain execution of the same dynamic instruction count
     /// produces.
     pub state_ok: bool,
-}
-
-/// Plain-VM digest after exactly `total` dynamic instructions.
-fn baseline_digest(prog: &tlr_asm::Program, total: u64) -> u64 {
-    let mut vm = Vm::new(prog);
-    vm.run(total, &mut NullSink)
-        .unwrap_or_else(|e| panic!("baseline vm error: {e}"));
-    state_digest(&vm)
 }
 
 /// Label of the decant-derived measured-weights configuration in the
@@ -123,8 +106,7 @@ pub fn run_policy_sweep(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<PolicyCell> 
                 .unwrap_or_else(|e| panic!("{} [{policy}]: engine error: {e}", w.name));
             // The engine made `total()` instructions of progress; plain
             // execution of the same count must land in the same state.
-            let ok = state_digest(engine.vm()) == baseline_digest(&prog, stats.total());
-            (stats, ok)
+            (stats, against_plain_vm(&prog, &engine).digest_ok)
         };
 
         let cold_config = EngineConfig::paper(rtm, FLEET_WARM).with_policy(policy);

@@ -40,7 +40,7 @@ use tlr_core::{
 };
 use tlr_persist::snapshot::{write_snapshot, write_snapshot_with};
 use tlr_persist::{
-    load_merged_snapshots_tuned, program_fingerprint, save_snapshot, SnapshotWriteOptions,
+    load_merged_snapshots_with, program_fingerprint, save_snapshot, SnapshotWriteOptions,
 };
 use tlr_serve::{RegistryConfig, SnapshotRegistry, SpillKind};
 use tlr_stats::Table;
@@ -339,20 +339,10 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
                 paths.sort();
                 paths
             };
-            let (_, split) = load_merged_snapshots_tuned(
-                &split_paths,
-                Some(fingerprint),
-                policy,
-                tlr_core::LFU_HALF_LIFE,
-            )
-            .unwrap_or_else(|e| panic!("{}: split load: {e}", w.name));
-            let (_, full) = load_merged_snapshots_tuned(
-                &[full_path],
-                Some(fingerprint),
-                policy,
-                tlr_core::LFU_HALF_LIFE,
-            )
-            .unwrap_or_else(|e| panic!("{}: full load: {e}", w.name));
+            let (_, split) = load_merged_snapshots_with(&split_paths, Some(fingerprint), policy)
+                .unwrap_or_else(|e| panic!("{}: split load: {e}", w.name));
+            let (_, full) = load_merged_snapshots_with(&[full_path], Some(fingerprint), policy)
+                .unwrap_or_else(|e| panic!("{}: full load: {e}", w.name));
             equality.push(ServePerfEquality {
                 name: w.name,
                 policy,

@@ -24,26 +24,17 @@
 //! exactly where a plain [`Vm::run_fast`] of their progress does; these
 //! are gated hard by `--check`. Speeds are gated on suite means so a
 //! single noisy CI row cannot flip the verdict.
-//!
-//! A second table exercises [`BatchRunner`]: the whole workload suite as
-//! one in-process batch under each schedule, reporting aggregate MIPS.
 
 use std::time::Instant;
 
-use crate::batch::{BatchRunner, BatchSpec, Schedule};
-use crate::harness::HarnessConfig;
-use tlr_asm::Program;
+use crate::harness::{against_plain_vm, HarnessConfig};
 use tlr_core::{EngineConfig, Heuristic, RtmConfig, TraceReuseEngine};
 use tlr_isa::NullSink;
 use tlr_stats::Table;
-use tlr_vm::{FastStep, RunOutcome, Vm};
+use tlr_vm::Vm;
 
 /// Collection heuristic used for every timed engine configuration.
 pub const THROUGHPUT_HEURISTIC: Heuristic = Heuristic::FixedExp(4);
-
-/// Round-robin quantum (dynamic instructions per turn) for the batched
-/// suite row.
-pub const BATCH_QUANTUM: u64 = 4_096;
 
 /// Floor on the collecting engine's suite-mean MIPS over the fast
 /// interpreter's suite-mean MIPS. Set at the ratio the engine reached
@@ -90,20 +81,6 @@ impl ThroughputCell {
     }
 }
 
-/// One batched-suite timing row.
-pub struct BatchCell {
-    /// Schedule label.
-    pub schedule: &'static str,
-    /// Instances in the batch (one per workload).
-    pub instances: usize,
-    /// Aggregate dynamic instructions across the batch.
-    pub total: u64,
-    /// Aggregate MIPS (total dynamic instructions / wall-clock).
-    pub mips: f64,
-    /// Every instance reproduced its solo digest.
-    pub digest_ok: bool,
-}
-
 fn mips(instrs: u64, secs: f64) -> f64 {
     instrs as f64 / secs.max(1e-9) / 1e6
 }
@@ -112,22 +89,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
-}
-
-/// Check an engine run against plain execution of exactly its progress
-/// on [`Vm::run_fast`]: `(digest_ok, counts_ok)`. The counts agree when
-/// the plain VM executes all `stats.total()` instructions and, if the
-/// engine halted, stands at the `halt`.
-fn against_plain_vm(prog: &Program, engine: &TraceReuseEngine) -> (bool, bool) {
-    let stats = engine.stats();
-    let mut vm = Vm::new(prog);
-    let executed = vm.run_fast(stats.total()).map(RunOutcome::executed);
-    let digest_ok = vm.state_digest() == engine.vm().state_digest();
-    let at_halt = matches!(vm.step_fast(), Ok(FastStep::Halted));
-    (
-        digest_ok,
-        executed == Ok(stats.total()) && (at_halt || !stats.halted),
-    )
 }
 
 /// Time the four configurations on every workload, serially — timing
@@ -171,8 +132,8 @@ pub fn run_throughput(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<ThroughputCell
                 engine
             });
 
-            let (eng_digest_ok, eng_counts_ok) = against_plain_vm(&prog, &engine);
-            let (serve_digest_ok, serve_counts_ok) = against_plain_vm(&prog, &serve);
+            let eng_plain = against_plain_vm(&prog, &engine);
+            let serve_plain = against_plain_vm(&prog, &serve);
             let eng_stats = engine.stats();
             ThroughputCell {
                 name: w.name,
@@ -184,70 +145,11 @@ pub fn run_throughput(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<ThroughputCell
                 eng_total: eng_stats.total(),
                 pct_reused: eng_stats.pct_reused(),
                 digest_ok: vm_ref.state_digest() == vm_fast.state_digest()
-                    && eng_digest_ok
-                    && serve_digest_ok,
+                    && eng_plain.digest_ok
+                    && serve_plain.digest_ok,
                 counts_ok: vm_ref.executed() == vm_fast.executed()
-                    && eng_counts_ok
-                    && serve_counts_ok,
-            }
-        })
-        .collect()
-}
-
-/// Run the whole suite as one in-process batch per schedule and time the
-/// aggregate; each instance's digest is checked against a solo run.
-pub fn run_batch_bench(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<BatchCell> {
-    let config = EngineConfig::paper(rtm, THROUGHPUT_HEURISTIC);
-    let solo_digests: Vec<u64> = tlr_workloads::all()
-        .iter()
-        .map(|w| {
-            let prog = w.program(cfg.seed);
-            let mut engine = TraceReuseEngine::new(&prog, config);
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: solo error: {e}", w.name));
-            engine.vm().state_digest()
-        })
-        .collect();
-
-    let schedules = [
-        ("run-to-completion", Schedule::RunToCompletion),
-        (
-            "round-robin",
-            Schedule::RoundRobin {
-                quantum: BATCH_QUANTUM,
-            },
-        ),
-    ];
-    schedules
-        .iter()
-        .map(|&(label, schedule)| {
-            let mut runner = BatchRunner::new(schedule);
-            for w in tlr_workloads::all() {
-                runner.push(BatchSpec::new(
-                    w.name,
-                    w.program(cfg.seed),
-                    config,
-                    cfg.budget,
-                ));
-            }
-            let instances = runner.len();
-            let (outcomes, secs) = timed(|| {
-                runner
-                    .run()
-                    .unwrap_or_else(|e| panic!("batch [{label}]: {e}"))
-            });
-            let total: u64 = outcomes.iter().map(|o| o.stats.total()).sum();
-            let digest_ok = outcomes
-                .iter()
-                .zip(&solo_digests)
-                .all(|(o, &d)| o.digest == d);
-            BatchCell {
-                schedule: label,
-                instances,
-                total,
-                mips: mips(total, secs),
-                digest_ok,
+                    && eng_plain.counts_ok
+                    && serve_plain.counts_ok,
             }
         })
         .collect()
@@ -314,33 +216,11 @@ pub fn throughput_table(cells: &[ThroughputCell]) -> Table {
     table
 }
 
-/// Table: the batched-suite rows.
-pub fn batch_table(cells: &[BatchCell]) -> Table {
-    let mut table = Table::new(vec![
-        "schedule",
-        "instances",
-        "total instrs",
-        "agg MIPS",
-        "state",
-    ]);
-    for cell in cells {
-        table.row(vec![
-            cell.schedule.to_string(),
-            cell.instances.to_string(),
-            cell.total.to_string(),
-            format!("{:.2}", cell.mips),
-            if cell.digest_ok { "ok" } else { "MISMATCH" }.to_string(),
-        ]);
-    }
-    table
-}
-
 /// Regression gate for CI.
 ///
-/// Hard invariants: on every row both interpreters agree, the engine and
-/// the serving engine each match plain execution of their progress in
-/// state and counts, and every batched instance reproduces its solo
-/// digest.
+/// Hard invariants: on every row both interpreters agree, and the engine
+/// and the serving engine each match plain execution of their progress
+/// in state and counts.
 ///
 /// Timing is gated only on suite **means**, so one preempted CI row
 /// cannot flip the verdict, and each gate matches what its layer
@@ -354,7 +234,7 @@ pub fn batch_table(cells: &[BatchCell]) -> Table {
 ///   MIPS must stay at or above [`COLLECTING_FLOOR`] of the fast
 ///   interpreter's, the ratio it had while records were returned by
 ///   value.
-pub fn check_throughput(cells: &[ThroughputCell], batch: &[BatchCell]) -> Result<(), String> {
+pub fn check_throughput(cells: &[ThroughputCell]) -> Result<(), String> {
     for cell in cells {
         if !cell.digest_ok {
             return Err(format!(
@@ -366,14 +246,6 @@ pub fn check_throughput(cells: &[ThroughputCell], batch: &[BatchCell]) -> Result
             return Err(format!(
                 "{}: an interpreter or engine disagreed with plain execution on progress",
                 cell.name
-            ));
-        }
-    }
-    for cell in batch {
-        if !cell.digest_ok {
-            return Err(format!(
-                "batch [{}]: an instance diverged from its solo digest",
-                cell.schedule
             ));
         }
     }
@@ -440,28 +312,13 @@ mod tests {
             counts_ok: true,
         };
         let at_floor = COLLECTING_FLOOR * 200.0;
-        assert!(check_throughput(&[cell(at_floor)], &[]).is_ok());
-        let err = check_throughput(&[cell(at_floor * 0.9)], &[]).unwrap_err();
+        assert!(check_throughput(&[cell(at_floor)]).is_ok());
+        let err = check_throughput(&[cell(at_floor * 0.9)]).unwrap_err();
         assert!(err.contains("floor"), "{err}");
         // The floor is on the ratio of suite means, not per row.
-        assert!(check_throughput(&[cell(at_floor * 0.5), cell(at_floor * 1.5)], &[]).is_ok());
+        assert!(check_throughput(&[cell(at_floor * 0.5), cell(at_floor * 1.5)]).is_ok());
         let mut broken = cell(at_floor);
         broken.counts_ok = false;
-        assert!(check_throughput(&[broken], &[]).is_err());
-    }
-
-    #[test]
-    fn batched_suite_reproduces_solo_digests() {
-        let cfg = HarnessConfig {
-            budget: 15_000,
-            ..HarnessConfig::quick()
-        };
-        let batch = run_batch_bench(&cfg, RtmConfig::RTM_4K);
-        assert_eq!(batch.len(), 2);
-        for cell in &batch {
-            assert!(cell.digest_ok, "{}: digest mismatch", cell.schedule);
-            assert_eq!(cell.instances, tlr_workloads::all().len());
-        }
-        assert_eq!(batch_table(&batch).len(), 2);
+        assert!(check_throughput(&[broken]).is_err());
     }
 }

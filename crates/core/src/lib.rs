@@ -79,8 +79,7 @@ pub use ilr::{FiniteIlrBuffer, InstrReuseTable, SetAssocGeometry};
 pub use limits::{LatencyRule, LimitConfig, LimitResult, LimitStudySink, TraceIoStats};
 pub use policy::{ClassWeights, ReplacementPolicy, TraceMeta, LFU_HALF_LIFE};
 pub use rtm::{
-    FastHit, MergeError, MergeOutcome, ReuseBackend, ReuseTraceMemory, RtmConfig, RtmSnapshot,
-    RtmStats,
+    FastHit, MergeError, MergeOutcome, ReuseTraceMemory, RtmConfig, RtmSnapshot, RtmStats,
 };
 pub use schemes::{compare_schemes, SchemeComparison, SnBuffer, SvBuffer};
 pub use theorems::{check_theorem1, check_theorem3, theorem2_counterexample, TheoremCheck};

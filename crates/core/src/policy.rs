@@ -196,9 +196,9 @@ impl TraceMeta {
         self.decayed_hits_with(now, LFU_HALF_LIFE)
     }
 
-    /// [`TraceMeta::decayed_hits`] under a caller-chosen half-life (the
-    /// `--lfu-half-life` knob). A zero half-life is treated as 1 tick —
-    /// maximally forgetful — rather than a division by zero.
+    /// [`TraceMeta::decayed_hits`] under an explicit half-life. A zero
+    /// half-life is treated as 1 tick — maximally forgetful — rather
+    /// than a division by zero.
     pub fn decayed_hits_with(&self, now: u64, half_life: u64) -> u64 {
         let epochs = (now.saturating_sub(self.last_use) / half_life.max(1)).min(63);
         self.hits >> epochs

@@ -160,42 +160,6 @@ pub struct FastHit<'a> {
     pub rec: &'a TraceRecord,
 }
 
-/// A reuse-test mechanism behind the engine: either the full
-/// value-comparison RTM ([`ReuseTraceMemory`]) or the §3.3 valid-bit
-/// variant ([`crate::valid_bit::InvalidatingRtm`]).
-pub trait ReuseBackend {
-    /// The reuse test at a fetch point: return a trace starting at `pc`
-    /// that is guaranteed to reproduce execution from the current state.
-    fn lookup(&mut self, pc: u32, state: &dyn Fn(Loc) -> u64) -> Option<TraceRecord>;
-
-    /// Store a collected trace. `state` reads the architectural value of
-    /// a location *at store time* (valid-bit backends need it to detect
-    /// self-clobbered inputs; the value-comparison backend ignores it).
-    fn insert(&mut self, rec: TraceRecord, state: &dyn Fn(Loc) -> u64);
-
-    /// Notify an architectural write (valid-bit backends invalidate
-    /// matching entries; the value-comparison backend does nothing).
-    fn on_write(&mut self, loc: Loc);
-
-    /// Stamp a run id into the provenance of subsequently collected
-    /// traces. Backends without provenance ignore it.
-    fn set_source_run(&mut self, _run: u64) {}
-
-    /// Behaviour counters.
-    fn stats(&self) -> RtmStats;
-
-    /// Entries resident.
-    fn resident(&self) -> u64;
-
-    /// Export resident traces for persistence, if this backend supports
-    /// snapshotting (only the value-comparison RTM does: valid-bit
-    /// entries are tied to invalidation state that cannot outlive the
-    /// run).
-    fn snapshot(&self) -> Option<RtmSnapshot> {
-        None
-    }
-}
-
 /// A portable snapshot of an RTM's resident traces.
 ///
 /// Produced by [`ReuseTraceMemory::export`] and consumed by
@@ -337,17 +301,6 @@ impl RtmSnapshot {
         snapshots: &[RtmSnapshot],
         policy: ReplacementPolicy,
     ) -> Result<MergeOutcome, MergeError> {
-        Self::merge_detailed_tuned(snapshots, policy, crate::policy::LFU_HALF_LIFE)
-    }
-
-    /// [`merge_detailed_with`](RtmSnapshot::merge_detailed_with) under a
-    /// caller-chosen LFU aging half-life (the `--lfu-half-life` knob;
-    /// only [`ReplacementPolicy::Lfu`] victim selection consults it).
-    pub fn merge_detailed_tuned(
-        snapshots: &[RtmSnapshot],
-        policy: ReplacementPolicy,
-        lfu_half_life: u64,
-    ) -> Result<MergeOutcome, MergeError> {
         let first = snapshots.first().ok_or(MergeError::Empty)?;
         for s in &snapshots[1..] {
             if s.config != first.config {
@@ -357,8 +310,7 @@ impl RtmSnapshot {
                 });
             }
         }
-        let mut rtm =
-            ReuseTraceMemory::new_with(first.config, policy).with_lfu_half_life(lfu_half_life);
+        let mut rtm = ReuseTraceMemory::new_with(first.config, policy);
         let input_traces: usize = snapshots.iter().map(|s| s.traces.len()).sum();
         let mut iters: Vec<_> = snapshots.iter().map(|s| s.entries()).collect();
         loop {
@@ -510,22 +462,17 @@ pub struct ReuseTraceMemory {
     tick: u64,
     /// Run id stamped into fresh inserts' provenance.
     source_run: u64,
-    /// Aging half-life for [`ReplacementPolicy::Lfu`] victim selection,
-    /// in RTM ticks ([`crate::policy::LFU_HALF_LIFE`] by default).
-    lfu_half_life: u64,
 }
 
 /// Pick the entry to evict from a full PC group (entries in LRU→MRU
 /// order), honouring `policy` and never choosing a `pinned` record when
 /// an unpinned candidate exists. `now` is the RTM tick the LFU aging
-/// term measures idleness against, and `half_life` its aging rate
-/// ([`TraceMeta::decayed_hits_with`]).
+/// term measures idleness against ([`TraceMeta::decayed_hits`]).
 fn entry_victim(
     policy: ReplacementPolicy,
     entries: &[RtmEntry],
     pinned: Option<&FxHashSet<TraceRecord>>,
     now: u64,
-    half_life: u64,
 ) -> usize {
     let mut candidates = entries
         .iter()
@@ -535,13 +482,7 @@ fn entry_victim(
         // First candidate in LRU→MRU order is the least recently used.
         ReplacementPolicy::Lru => candidates.next().map(|(i, _)| i),
         ReplacementPolicy::Lfu => candidates
-            .min_by_key(|(i, e)| {
-                (
-                    e.meta.decayed_hits_with(now, half_life),
-                    e.meta.last_use,
-                    *i,
-                )
-            })
+            .min_by_key(|(i, e)| (e.meta.decayed_hits(now), e.meta.last_use, *i))
             .map(|(i, _)| i),
         ReplacementPolicy::CostBenefit => candidates
             .min_by_key(|(i, e)| (e.meta.benefit(e.rec.len), e.meta.last_use, *i))
@@ -567,7 +508,6 @@ fn group_victim(
     groups: &[PcGroup<RtmEntry>],
     pinned: Option<&FxHashSet<TraceRecord>>,
     now: u64,
-    half_life: u64,
 ) -> usize {
     let candidates = groups
         .iter()
@@ -576,11 +516,7 @@ fn group_victim(
     match policy {
         ReplacementPolicy::Lru => candidates.min_by_key(|(_, g)| g.last_touch),
         ReplacementPolicy::Lfu => candidates.min_by_key(|(_, g)| {
-            let hits: u64 = g
-                .entries
-                .iter()
-                .map(|e| e.meta.decayed_hits_with(now, half_life))
-                .sum();
+            let hits: u64 = g.entries.iter().map(|e| e.meta.decayed_hits(now)).sum();
             (hits, g.last_touch)
         }),
         ReplacementPolicy::CostBenefit => candidates.min_by_key(|(_, g)| {
@@ -615,15 +551,7 @@ impl ReuseTraceMemory {
             policy,
             tick: 0,
             source_run: 0,
-            lfu_half_life: crate::policy::LFU_HALF_LIFE,
         }
-    }
-
-    /// Same RTM with a different LFU aging half-life (in ticks). Only
-    /// [`ReplacementPolicy::Lfu`] victim selection consults it.
-    pub fn with_lfu_half_life(mut self, half_life: u64) -> Self {
-        self.lfu_half_life = half_life;
-        self
     }
 
     /// The replacement policy this RTM evicts under.
@@ -836,7 +764,6 @@ impl ReuseTraceMemory {
         self.stats.stores += 1;
         let policy = self.policy;
         let now = self.tick;
-        let half_life = self.lfu_half_life;
         self.stats.evictions += self.store.insert_with(
             pc,
             RtmEntry {
@@ -844,8 +771,8 @@ impl ReuseTraceMemory {
                 meta,
                 block: None,
             },
-            &mut |entries| entry_victim(policy, entries, pinned, now, half_life),
-            &mut |groups| group_victim(policy, groups, pinned, now, half_life),
+            &mut |entries| entry_victim(policy, entries, pinned, now),
+            &mut |groups| group_victim(policy, groups, pinned, now),
         );
     }
 
@@ -906,34 +833,6 @@ impl ReuseTraceMemory {
         }
         rtm.stats = RtmStats::default();
         rtm
-    }
-}
-
-impl ReuseBackend for ReuseTraceMemory {
-    fn lookup(&mut self, pc: u32, state: &dyn Fn(Loc) -> u64) -> Option<TraceRecord> {
-        ReuseTraceMemory::lookup(self, pc, state)
-    }
-
-    fn insert(&mut self, rec: TraceRecord, _state: &dyn Fn(Loc) -> u64) {
-        ReuseTraceMemory::insert(self, rec)
-    }
-
-    fn on_write(&mut self, _loc: Loc) {}
-
-    fn set_source_run(&mut self, run: u64) {
-        ReuseTraceMemory::set_source_run(self, run)
-    }
-
-    fn stats(&self) -> RtmStats {
-        ReuseTraceMemory::stats(self)
-    }
-
-    fn resident(&self) -> u64 {
-        ReuseTraceMemory::resident(self)
-    }
-
-    fn snapshot(&self) -> Option<RtmSnapshot> {
-        Some(self.export())
     }
 }
 
@@ -1168,16 +1067,6 @@ mod tests {
         again.insert(rec(10, &[(R1, 99)], &[], 20));
         assert!(again.lookup(10, |l| if l == R1 { 0 } else { 9 }).is_some());
         assert!(again.lookup(10, |l| if l == R1 { 1 } else { 9 }).is_none());
-    }
-
-    #[test]
-    fn snapshot_via_backend_trait() {
-        let mut rtm = ReuseTraceMemory::new(RtmConfig::RTM_512);
-        rtm.insert(rec(7, &[(R1, 1)], &[(R2, 2)], 9));
-        let backend: &dyn ReuseBackend = &rtm;
-        let snap = backend.snapshot().expect("value-compare RTM snapshots");
-        assert_eq!(snap.traces.len(), 1);
-        assert_eq!(snap.traces[0].start_pc, 7);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`InvalidatingRtm`] implements that scheme: a slab of entries with a
 //! reverse index from input location to the entries that read it. The
 //! processor notifies every architectural write via
-//! [`ReuseBackend::on_write`], which conservatively invalidates — even a
+//! [`InvalidatingRtm::on_write`], which conservatively invalidates — even a
 //! *silent* write (same value) kills the entry, which is exactly the
 //! reuse this scheme forfeits relative to the full value comparison. The
 //! `reproduce validbit` experiment quantifies the gap.
@@ -20,7 +20,7 @@
 //! dead entries).
 
 use crate::ilr::SetAssocGeometry;
-use crate::rtm::{ReuseBackend, RtmStats};
+use crate::rtm::RtmStats;
 use crate::trace::TraceRecord;
 use tlr_isa::Loc;
 use tlr_util::FxHashMap;
@@ -111,10 +111,11 @@ impl InvalidatingRtm {
             self.stats.evictions += 1;
         }
     }
-}
 
-impl ReuseBackend for InvalidatingRtm {
-    fn lookup(&mut self, pc: u32, _state: &dyn Fn(Loc) -> u64) -> Option<TraceRecord> {
+    /// The reuse test at a fetch point: the most recently stored valid
+    /// entry starting at `pc`. Validity stands in for value comparison,
+    /// so no architectural state is read.
+    pub fn lookup(&mut self, pc: u32) -> Option<TraceRecord> {
         self.stats.lookups += 1;
         let list = self.by_pc.get(&pc)?;
         // Most recently stored first; the reuse test is just the valid
@@ -129,7 +130,9 @@ impl ReuseBackend for InvalidatingRtm {
         hit
     }
 
-    fn insert(&mut self, rec: TraceRecord, state: &dyn Fn(Loc) -> u64) {
+    /// Store a collected trace. `state` reads the architectural value of
+    /// a location at store time, to detect inputs the trace clobbered.
+    pub fn insert(&mut self, rec: TraceRecord, state: impl Fn(Loc) -> u64) {
         // Per-PC limit: evict this PC's oldest entry when full.
         if let Some(list) = self.by_pc.get(&rec.start_pc) {
             if list.len() >= self.geometry.per_pc as usize {
@@ -165,7 +168,8 @@ impl ReuseBackend for InvalidatingRtm {
         self.stats.stores += 1;
     }
 
-    fn on_write(&mut self, loc: Loc) {
+    /// Notify an architectural write: every entry reading `loc` dies.
+    pub fn on_write(&mut self, loc: Loc) {
         let Some(watchers) = self.watchers.remove(&loc) else {
             return;
         };
@@ -179,11 +183,13 @@ impl ReuseBackend for InvalidatingRtm {
         }
     }
 
-    fn stats(&self) -> RtmStats {
+    /// Behaviour counters so far.
+    pub fn stats(&self) -> RtmStats {
         self.stats
     }
 
-    fn resident(&self) -> u64 {
+    /// Entries resident, valid or not.
+    pub fn resident(&self) -> u64 {
         self.slots.iter().flatten().count() as u64
     }
 }
@@ -218,26 +224,25 @@ mod tests {
     fn valid_entry_hits_without_value_comparison() {
         let mut rtm = InvalidatingRtm::new(geometry());
         let state = |loc: Loc| if loc == R1 { 5 } else { 0 };
-        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), &state);
-        // The lookup's state closure is ignored by this backend.
-        let wrong_state = |_: Loc| 12345u64;
-        assert!(rtm.lookup(10, &wrong_state).is_some());
+        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), state);
+        // The reuse test reads no state: only the valid bit.
+        assert!(rtm.lookup(10).is_some());
     }
 
     #[test]
     fn write_to_input_invalidates() {
         let mut rtm = InvalidatingRtm::new(geometry());
         let state = |loc: Loc| if loc == R1 { 5 } else { 0 };
-        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), &state);
+        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), state);
         rtm.on_write(R1);
-        assert!(rtm.lookup(10, &|_| 0).is_none());
+        assert!(rtm.lookup(10).is_none());
         assert_eq!(rtm.invalidations(), 1);
         assert_eq!(rtm.valid_entries(), 0);
         // A silent write (same value) also kills it — the scheme's
         // conservatism.
-        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), &state);
+        rtm.insert(rec(10, &[(R1, 5)], &[(R2, 9)]), state);
         rtm.on_write(R1); // architecturally rewrote 5 with 5
-        assert!(rtm.lookup(10, &|_| 0).is_none());
+        assert!(rtm.lookup(10).is_none());
     }
 
     #[test]
@@ -245,8 +250,8 @@ mod tests {
         let mut rtm = InvalidatingRtm::new(geometry());
         // Live-in r1=5, but by store time r1 holds 6 (the trace wrote it).
         let state = |loc: Loc| if loc == R1 { 6 } else { 0 };
-        rtm.insert(rec(10, &[(R1, 5)], &[(R1, 6)]), &state);
-        assert!(rtm.lookup(10, &|_| 0).is_none());
+        rtm.insert(rec(10, &[(R1, 5)], &[(R1, 6)]), state);
+        assert!(rtm.lookup(10).is_none());
         assert_eq!(rtm.valid_entries(), 0);
     }
 
@@ -254,22 +259,22 @@ mod tests {
     fn writes_to_unrelated_locations_do_not_invalidate() {
         let mut rtm = InvalidatingRtm::new(geometry());
         let state = |loc: Loc| if loc == R1 { 5 } else { 0 };
-        rtm.insert(rec(10, &[(R1, 5)], &[]), &state);
+        rtm.insert(rec(10, &[(R1, 5)], &[]), state);
         rtm.on_write(R2);
         rtm.on_write(Loc::Mem(99));
-        assert!(rtm.lookup(10, &|_| 0).is_some());
+        assert!(rtm.lookup(10).is_some());
     }
 
     #[test]
     fn per_pc_limit_evicts_oldest() {
         let mut rtm = InvalidatingRtm::new(geometry()); // per_pc = 2
         let state = |_: Loc| 0u64;
-        rtm.insert(rec(10, &[], &[(R2, 1)]), &state);
-        rtm.insert(rec(10, &[], &[(R2, 2)]), &state);
-        rtm.insert(rec(10, &[], &[(R2, 3)]), &state);
+        rtm.insert(rec(10, &[], &[(R2, 1)]), state);
+        rtm.insert(rec(10, &[], &[(R2, 2)]), state);
+        rtm.insert(rec(10, &[], &[(R2, 3)]), state);
         assert_eq!(rtm.resident(), 2);
         // Newest wins the lookup.
-        let hit = rtm.lookup(10, &|_| 0).unwrap();
+        let hit = rtm.lookup(10).unwrap();
         assert_eq!(hit.outs[0].1, 3);
     }
 
@@ -282,12 +287,12 @@ mod tests {
         }; // capacity 2
         let mut rtm = InvalidatingRtm::new(g);
         let state = |_: Loc| 0u64;
-        rtm.insert(rec(1, &[(R1, 0)], &[]), &state);
-        rtm.insert(rec(2, &[(R2, 0)], &[]), &state);
+        rtm.insert(rec(1, &[(R1, 0)], &[]), state);
+        rtm.insert(rec(2, &[(R2, 0)], &[]), state);
         rtm.on_write(R1); // entry for pc 1 is now invalid
-        rtm.insert(rec(3, &[], &[]), &state); // evicts the invalid one
-        assert!(rtm.lookup(2, &|_| 0).is_some(), "valid entry survived");
-        assert!(rtm.lookup(3, &|_| 0).is_some());
-        assert!(rtm.lookup(1, &|_| 0).is_none());
+        rtm.insert(rec(3, &[], &[]), state); // evicts the invalid one
+        assert!(rtm.lookup(2).is_some(), "valid entry survived");
+        assert!(rtm.lookup(3).is_some());
+        assert!(rtm.lookup(1).is_none());
     }
 }

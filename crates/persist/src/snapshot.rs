@@ -179,18 +179,6 @@ pub fn load_merged_snapshots_with(
     expected_fingerprint: Option<u64>,
     policy: ReplacementPolicy,
 ) -> Result<(u64, RtmSnapshot)> {
-    load_merged_snapshots_tuned(paths, expected_fingerprint, policy, tlr_core::LFU_HALF_LIFE)
-}
-
-/// [`load_merged_snapshots_with`] under a caller-chosen LFU aging
-/// half-life ([`RtmSnapshot::merge_detailed_tuned`] semantics; only
-/// [`ReplacementPolicy::Lfu`] victim selection consults it).
-pub fn load_merged_snapshots_tuned(
-    paths: &[impl AsRef<Path>],
-    expected_fingerprint: Option<u64>,
-    policy: ReplacementPolicy,
-    lfu_half_life: u64,
-) -> Result<(u64, RtmSnapshot)> {
     if paths.is_empty() {
         return Err(PersistError::Merge(tlr_core::MergeError::Empty));
     }
@@ -218,7 +206,7 @@ pub fn load_merged_snapshots_tuned(
             shape: 0,
         }
     } else {
-        RtmSnapshot::merge_detailed_tuned(&snapshots, policy, lfu_half_life)?.snapshot
+        RtmSnapshot::merge_with(&snapshots, policy)?
     };
     if !deltas.is_empty() {
         // Replay deltas in sequence order (file order breaks ties), then
@@ -229,7 +217,7 @@ pub fn load_merged_snapshots_tuned(
             crate::delta::apply_delta(&mut merged, delta)?;
         }
         crate::delta::canonicalize(&mut merged);
-        merged = RtmSnapshot::merge_detailed_tuned(&[merged], policy, lfu_half_life)?.snapshot;
+        merged = RtmSnapshot::merge_with(&[merged], policy)?;
     }
     Ok((fingerprint, merged))
 }

@@ -21,7 +21,7 @@ use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmSnapshot};
 use tlr_persist::snapshot::write_snapshot;
 use tlr_persist::{
     base_file_name, delta_file_name, delta_seq_from_path, diff_snapshots, group_digests,
-    load_merged_snapshots_tuned, load_snapshot_payload, peek_snapshot_identity, save_base,
+    load_merged_snapshots_with, load_snapshot_payload, peek_snapshot_identity, save_base,
     save_delta_segment, PersistError, SnapshotPayload, SnapshotWriteOptions,
 };
 use tlr_util::{FxHashMap, FxHashSet};
@@ -44,10 +44,6 @@ pub struct RegistryConfig {
     /// merge resolve capacity contention under this policy, ranking by
     /// the persisted per-trace provenance for the non-recency policies.
     pub policy: ReplacementPolicy,
-    /// LFU aging half-life (ticks) used by every pooling merge when
-    /// `policy` is [`ReplacementPolicy::Lfu`]; the other policies
-    /// ignore it. Defaults to [`tlr_core::LFU_HALF_LIFE`].
-    pub lfu_half_life: u64,
     /// Delta segments a fingerprint may accumulate before
     /// [`spill`](SnapshotRegistry::spill) folds base + deltas into a
     /// fresh base file (LSM level-0 style).
@@ -60,7 +56,6 @@ impl Default for RegistryConfig {
             shards: 8,
             max_resident_per_shard: 64,
             policy: ReplacementPolicy::Lru,
-            lfu_half_life: tlr_core::LFU_HALF_LIFE,
             compact_threshold: 8,
         }
     }
@@ -627,23 +622,15 @@ impl SnapshotRegistry {
         }
     }
 
-    /// Pool several snapshots under the registry's policy and LFU
-    /// half-life — the one merge rule every path (load, refresh,
-    /// publish) shares.
+    /// Pool several snapshots under the registry's policy — the one
+    /// merge rule every path (load, refresh, publish) shares.
     fn pool(&self, snapshots: &[RtmSnapshot]) -> Result<RtmSnapshot, tlr_core::MergeError> {
-        Ok(RtmSnapshot::merge_detailed_tuned(
-            snapshots,
-            self.config.policy,
-            self.config.lfu_half_life,
-        )?
-        .snapshot)
+        RtmSnapshot::merge_with(snapshots, self.config.policy)
     }
 
-    /// Import a snapshot into a resident RTM tuned to the registry's
-    /// policy and LFU half-life.
+    /// Import a snapshot into a resident RTM under the registry's policy.
     fn import(&self, snapshot: &RtmSnapshot) -> ReuseTraceMemory {
         ReuseTraceMemory::import_with(snapshot, self.config.policy)
-            .with_lfu_half_life(self.config.lfu_half_life)
     }
 
     fn shard_of(&self, fingerprint: u64) -> &Mutex<Shard> {
@@ -691,12 +678,8 @@ impl SnapshotRegistry {
         }
         // Miss: load and merge outside the lock, under the configured
         // policy.
-        let (_, merged) = load_merged_snapshots_tuned(
-            &paths,
-            Some(fingerprint),
-            self.config.policy,
-            self.config.lfu_half_life,
-        )?;
+        let (_, merged) =
+            load_merged_snapshots_with(&paths, Some(fingerprint), self.config.policy)?;
         // The loaded state *is* the durable state: seed the spill
         // bookkeeping from it so the first publish-back spills a delta
         // against these files instead of a full rewrite.
@@ -1495,36 +1478,6 @@ mod tests {
                 // LFU keeps observed-reuse weight across the merge.
                 assert_eq!(registry.entry_stats(9).unwrap().resident_hits, 16);
             }
-        }
-    }
-
-    #[test]
-    fn lfu_half_life_reaches_pooling_merges() {
-        assert_eq!(
-            RegistryConfig::default().lfu_half_life,
-            tlr_core::LFU_HALF_LIFE
-        );
-        // The knob must not change *what state exists* for an
-        // uncontended pool — only how contention is ranked — so a
-        // registry tuned to an extreme half-life still pools and
-        // publishes identically here.
-        let dir = temp_dir("half-life");
-        save_snapshot(&dir.join("p.tlrsnap"), 4, &snapshot_of(&[rec(8, 1)])).unwrap();
-        for half_life in [1, u64::MAX] {
-            let registry = SnapshotRegistry::open(
-                &dir,
-                RegistryConfig {
-                    policy: ReplacementPolicy::Lfu,
-                    lfu_half_life: half_life,
-                    ..RegistryConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(registry.get(4).unwrap().unwrap().len(), 1, "{half_life}");
-            registry
-                .publish(4, &snapshot_of(&[rec(8, 1), rec(40, 2)]))
-                .unwrap();
-            assert_eq!(registry.get(4).unwrap().unwrap().len(), 2, "{half_life}");
         }
     }
 

@@ -23,7 +23,6 @@
 //!   SIZE:  512 | 4k | 32k | 256k            (default 4k)
 //!   H:     i1..i8 | ilr-ne | ilr-exp | bb   (default i4)
 //!   P:     lru | lfu | cost-benefit         (default lru)
-//!          (--lfu-half-life N tunes the LFU/cost-benefit decay window)
 //!   TRACE: *.tlrtrace (binary); `record --out *.json` writes a
 //!          write-only debug dump
 //!   SNAP:  *.tlrsnap  (binary); `snapshot`/`merge --out *.json` write
@@ -102,8 +101,7 @@ fn usage() -> ! {
          [--policy ...] [--threads N] [--seed N] [--save] [--listen SOCK] \
          [--refresh-secs N]\n\
          FILE may be an assembly file or workload:NAME (built-in workload); \
-         run also takes --remote SOCK (tlrd warm start) and --digest; \
-         --lfu-half-life N tunes the lfu/cost-benefit decay window everywhere"
+         run also takes --remote SOCK (tlrd warm start) and --digest"
     );
     std::process::exit(2);
 }
@@ -179,7 +177,6 @@ struct Flags {
     rtm: RtmConfig,
     heuristic: Heuristic,
     policy: ReplacementPolicy,
-    lfu_half_life: u64,
     out: Option<String>,
     trace: Option<String>,
     warm_rtm: Option<String>,
@@ -203,7 +200,6 @@ fn parse_flags(args: &[String]) -> Flags {
         rtm: RtmConfig::RTM_4K,
         heuristic: Heuristic::FixedExp(4),
         policy: ReplacementPolicy::Lru,
-        lfu_half_life: LFU_HALF_LIFE,
         out: None,
         trace: None,
         warm_rtm: None,
@@ -252,15 +248,6 @@ fn parse_flags(args: &[String]) -> Flags {
             }
             "--policy" => {
                 flags.policy = parse_policy(&value(args, i, "--policy"));
-                i += 2;
-            }
-            "--lfu-half-life" => {
-                flags.lfu_half_life = value(args, i, "--lfu-half-life")
-                    .parse()
-                    .unwrap_or_else(|e| usage_error(&format!("--lfu-half-life: {e}")));
-                if flags.lfu_half_life == 0 {
-                    usage_error("--lfu-half-life must be at least 1 lookup");
-                }
                 i += 2;
             }
             "--out" => {
@@ -354,9 +341,7 @@ fn cmd_run(path: &str, flags: &Flags) {
     if flags.warm_rtm.is_some() && flags.remote.is_some() {
         usage_error("--warm-rtm and --remote are mutually exclusive warm-start sources");
     }
-    let config = EngineConfig::paper(flags.rtm, flags.heuristic)
-        .with_policy(flags.policy)
-        .with_lfu_half_life(flags.lfu_half_life);
+    let config = EngineConfig::paper(flags.rtm, flags.heuristic).with_policy(flags.policy);
     let fingerprint = program_fingerprint(&program);
     let shape = program_shape_fingerprint(&program);
     // --remote warm-starts from (and publishes back to) a tlrd daemon.
@@ -516,9 +501,7 @@ fn cmd_snapshot(path: &str, flags: &Flags) {
     let program = load(path, flags.seed);
     let mut engine = TraceReuseEngine::new(
         &program,
-        EngineConfig::paper(flags.rtm, flags.heuristic)
-            .with_policy(flags.policy)
-            .with_lfu_half_life(flags.lfu_half_life),
+        EngineConfig::paper(flags.rtm, flags.heuristic).with_policy(flags.policy),
     );
     engine.set_source_run(flags.seed);
     let stats = engine
@@ -594,7 +577,7 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
 fn cmd_compact(dir: &str, flags: &Flags) {
     use std::collections::BTreeMap;
     use std::path::PathBuf;
-    use trace_reuse::persist::{base_file_name, load_merged_snapshots_tuned, save_base};
+    use trace_reuse::persist::{base_file_name, load_merged_snapshots_with, save_base};
 
     let dir_path = Path::new(dir);
     let entries = std::fs::read_dir(dir_path)
@@ -627,13 +610,8 @@ fn cmd_compact(dir: &str, flags: &Flags) {
             println!("{fingerprint:016x}: already a lone base file, nothing to fold");
             continue;
         }
-        let (_, snapshot) = load_merged_snapshots_tuned(
-            paths,
-            Some(*fingerprint),
-            flags.policy,
-            flags.lfu_half_life,
-        )
-        .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
+        let (_, snapshot) = load_merged_snapshots_with(paths, Some(*fingerprint), flags.policy)
+            .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
         if flags.keep_deltas {
             for path in paths {
                 let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -850,7 +828,6 @@ fn cmd_serve(flags: &Flags) {
         Path::new(dir),
         RegistryConfig {
             policy: flags.policy,
-            lfu_half_life: flags.lfu_half_life,
             ..RegistryConfig::default()
         },
     )
@@ -888,9 +865,7 @@ fn cmd_serve(flags: &Flags) {
         return;
     }
     let registry = registry.as_ref();
-    let config = EngineConfig::paper(flags.rtm, flags.heuristic)
-        .with_policy(flags.policy)
-        .with_lfu_half_life(flags.lfu_half_life);
+    let config = EngineConfig::paper(flags.rtm, flags.heuristic).with_policy(flags.policy);
     let workloads = tlr_workloads::all();
     let threads = if flags.threads == 0 {
         std::thread::available_parallelism()
@@ -1041,9 +1016,7 @@ fn cmd_decant(path: &str, flags: &Flags) {
     use trace_reuse::stats::Table;
 
     let program = load(path, flags.seed);
-    let config = EngineConfig::paper(flags.rtm, flags.heuristic)
-        .with_policy(flags.policy)
-        .with_lfu_half_life(flags.lfu_half_life);
+    let config = EngineConfig::paper(flags.rtm, flags.heuristic).with_policy(flags.policy);
     let mut engine = TraceReuseEngine::new(&program, config);
     engine.set_source_run(flags.seed);
     // One decision covers at least one instruction, so a budget-sized

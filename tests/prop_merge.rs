@@ -177,9 +177,10 @@ fn warm_start_adopts_snapshot_geometry() {
             EngineConfig::paper(serve_rtm, Heuristic::FixedExp(4)),
             &snapshot,
         );
+        let resident = warm.export_rtm().unwrap();
         assert_eq!(
-            warm.rtm().resident(),
-            snapshot.len() as u64,
+            (resident.config, resident.len()),
+            (collect_rtm, snapshot.len()),
             "warm RTM did not adopt the snapshot's geometry"
         );
     }
